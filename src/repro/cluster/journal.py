@@ -29,6 +29,15 @@ regardless, or it fires just the same at the highest value; advances at
 or below the session's own last timestamp — subsumed by the record's
 ``clock_mark`` — can never reach its horizon at all).
 
+A live migration replays one session into a *warm* destination, whose
+clock already stands at the fleet's present — past every marker in the
+journal.  Replayed as ticks, the first marker would advance nothing and
+judge the migrated session against the present, timing it out on its
+first point.  Migration therefore replays markers *scoped*: each becomes
+an ``expire`` for the session alone, judged at the marker's own value
+(:meth:`~repro.serve.SessionPool.expire`), which is exactly what the
+tick did on the source.
+
 Every entry carries a router-global sequence number.  Replay merges the
 live records of a shard back into one stream in sequence order — the
 original interleaving of ops and clock advances — and the restarted
@@ -46,6 +55,10 @@ import json
 from heapq import merge
 
 __all__ = ["SessionRecord", "replay_lines"]
+
+# A journal holds routed session ops and tick markers only; markers are
+# the lines that start with this prefix.
+_MARKER = '{"op": "tick", '
 
 
 class SessionRecord:
@@ -100,7 +113,9 @@ class SessionRecord:
         return seq + 1
 
 
-def replay_lines(records, extras=(), final_t: float | None = None) -> list[str]:
+def replay_lines(
+    records, extras=(), final_t: float | None = None, *, scoped: bool = False
+) -> list[str]:
     """Merge session journals back into one stream, in original order.
 
     ``records`` are the live :class:`SessionRecord` values of one shard;
@@ -108,11 +123,29 @@ def replay_lines(records, extras=(), final_t: float | None = None) -> list[str]:
     requests that arrived while the worker was down).  A trailing tick
     to ``final_t`` restores the worker's clock to the fleet's present,
     firing any timeouts that came due after the last journaled entry.
+    ``scoped`` replays each record's clock markers as ``expire`` lines
+    for that session alone — the form a warm (migration) destination
+    needs.
     """
-    streams = [r.entries for r in records]
+    streams = [_scoped(r) if scoped else r.entries for r in records]
     if extras:
         streams.append(sorted(extras))
     lines = [line for _, line in merge(*streams)]
     if final_t is not None and final_t != float("-inf"):
         lines.append(json.dumps({"op": "tick", "t": final_t}))
     return lines
+
+
+def _scoped(record: SessionRecord) -> list[tuple[int, str]]:
+    """``record``'s entries with each clock marker scoped to the session."""
+    return [
+        (
+            seq,
+            json.dumps(
+                {"op": "expire", "stroke": record.key, "t": json.loads(line)["t"]}
+            )
+            if line.startswith(_MARKER)
+            else line,
+        )
+        for seq, line in record.entries
+    ]

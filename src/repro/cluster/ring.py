@@ -132,14 +132,6 @@ class HashRing:
         weights = {s: w for s, w in self.weights.items() if s != shard}
         return HashRing(survivors, replicas=self.replicas, weights=weights)
 
-    def reweighted(self, shard: str, weight: float) -> "HashRing":
-        """A new ring with ``shard``'s weight changed, all else kept."""
-        if shard not in self.shards:
-            raise ValueError(f"unknown shard {shard!r}")
-        weights = dict(self.weights)
-        weights[shard] = weight
-        return HashRing(self.shards, replicas=self.replicas, weights=weights)
-
     def plan_rebalance(
         self, new_ring: "HashRing", keys, skip=frozenset(), new_skip=None
     ) -> dict[str, tuple[str, str]]:

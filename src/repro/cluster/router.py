@@ -1,8 +1,9 @@
 """The cluster front door: one address, N workers, zero new semantics.
 
 The router speaks the exact :mod:`repro.serve.protocol` NDJSON dialect
-on its client side and is itself a plain client on its worker side, so
-neither end can tell the cluster apart from a single
+on its client side and is itself a plain client on its worker side,
+sending the same payloads in ``lp1`` frames (:mod:`repro.serve.framing`),
+so neither end can tell the cluster apart from a single
 :class:`~repro.serve.GestureServer` — which is the point: routed
 decisions are *byte-identical* to a single-pool run.
 
@@ -57,6 +58,16 @@ record is atomically re-pointed.  ``migrate_off`` empties a shard;
 ``rebalance`` migrates exactly the sessions a ring change moves
 (:meth:`HashRing.plan_rebalance` bounds that set).
 
+The destination of a migration is *warm*: its clock already stands
+past the journal's clock markers.  Replayed as ticks, the first marker
+would judge the session against the present and time it out on its
+first point — the differential fuzzer's drained pinch case, where
+stroke ``c0p0:a`` was eagerly recognized at 7 points and then committed
+with ``points_seen: 1``.  Migration therefore replays each marker as a
+session-scoped ``expire`` (``replay_lines(..., scoped=True)``), judged
+at the marker's own value, as the tick was on the source; crash replay
+into a cold worker keeps plain ticks.
+
 Known limit: a record whose very first ``down`` was answered with a
 ``pool full`` error is dropped on that reply, but an error reply lost
 to a crash *and* never re-derivable (the key never had a live session)
@@ -73,14 +84,7 @@ from contextlib import suppress
 from time import perf_counter
 
 from ..serve import DEFAULT_MAX_LINE, LineReader
-from ..serve.framing import (
-    DEFAULT_MAX_FRAME,
-    FRAME_MAGIC,
-    FrameReader,
-    encode_hello,
-    encode_frames,
-    negotiate,
-)
+from ..serve.framing import DEFAULT_MAX_FRAME, FrameReader, encode_frames
 from ..serve.protocol import (
     ProtocolError,
     decode_payload,
@@ -157,7 +161,6 @@ class _WorkerLink:
         "shard",
         "state",
         "ups",
-        "mode",
         "queue",
         "writer",
         "reader_task",
@@ -172,7 +175,6 @@ class _WorkerLink:
         self.shard = shard
         self.state = "down"
         self.ups = 0
-        self.mode = "ndjson"  # per-link framing, renegotiated each connect
         self.queue: _Mailbox | None = None
         self.writer = None
         self.reader_task: asyncio.Task | None = None
@@ -195,7 +197,7 @@ class _WorkerLink:
 class _Client:
     """One accepted client connection."""
 
-    __slots__ = ("id", "ns", "outbox", "limit", "closed", "seen")
+    __slots__ = ("id", "ns", "outbox", "limit", "closed")
 
     def __init__(self, cid: str, queue_size: int):
         self.id = cid
@@ -203,7 +205,6 @@ class _Client:
         self.outbox = _Mailbox()
         self.limit = queue_size  # backpressure: beyond it, push refuses
         self.closed = False
-        self.seen = False  # any line processed yet (hello negotiation)
 
     def push(self, line: str) -> bool:
         if len(self.outbox.items) >= self.limit:
@@ -225,7 +226,6 @@ class Router:
         max_line: int = DEFAULT_MAX_LINE,
         max_frame: int = DEFAULT_MAX_FRAME,
         stats_timeout: float = 10.0,
-        worker_framing: str = "lp1",
         metrics=None,
         registry=None,
     ):
@@ -243,13 +243,6 @@ class Router:
         self.max_line = max_line
         self.max_frame = max_frame
         self.stats_timeout = stats_timeout
-        # Framing attempted on the router→worker hop: "lp1" negotiates
-        # length-prefixed frames per link (falling back to NDJSON when a
-        # worker refuses — mixed fleets interoperate); "ndjson" never
-        # negotiates.  The client hop always speaks NDJSON.
-        if worker_framing not in ("ndjson", "lp1"):
-            raise ValueError(f"unknown worker framing: {worker_framing!r}")
-        self.worker_framing = worker_framing
         # Duck-typed: anything with .counter(name).inc(n) and .snapshot().
         self.metrics = metrics
         # Hot-loop counters, resolved once (the generic _count path pays
@@ -304,7 +297,7 @@ class Router:
         # The broadcast clock's journal marker, encoded once per barrier
         # instead of once per journalled op (see SessionRecord.journal).
         self._clock_line: str | None = None
-        # Sweeps ever broadcast (or force-sent): quiesce() loops until a
+        # Sweeps ever broadcast: quiesce() loops until a
         # barrier round completes with this unchanged, because a sweep
         # racing a migration is the one thing replay cannot repair.
         self._sweeps_broadcast = 0
@@ -351,53 +344,16 @@ class Router:
 
     # -- worker side ---------------------------------------------------------
 
-    async def _negotiate_worker(self, reader, writer) -> str:
-        """One hello round trip; returns the link's framing mode.
-
-        The ack to an accepted ``lp1`` hello is itself the first lp1
-        frame, so the first reply byte disambiguates: the frame magic
-        means the worker switched; anything else is an NDJSON error
-        line from a worker that refused (``--no-lp1``) or predates the
-        framing — the link then stays NDJSON and everything still
-        works, just slower.
-        """
-        writer.write((encode_hello("lp1") + "\n").encode())
-        await writer.drain()
-        first = await reader.readexactly(1)
-        if first[0] == FRAME_MAGIC:
-            length = int.from_bytes(await reader.readexactly(4), "big")
-            payload = await reader.readexactly(length)
-            ack = json.loads(payload)
-            if ack.get("kind") == "hello" and ack.get("framing") == "lp1":
-                return "lp1"
-            raise ConnectionError(f"unexpected lp1 negotiation ack: {ack!r}")
-        await reader.readline()  # the refusal's error line
-        self._count("cluster.lp1_refused")
-        return "ndjson"
-
     async def worker_up(self, shard: str, host: str, port: int) -> None:
         """Connect a (re)started worker and replay its shard's journals.
 
-        Everything between framing negotiation and marking the link up
-        is synchronous, so ops that arrive during the connect (or the
-        negotiation round trip) are journaled and land in the replay,
-        never double-sent.
+        Everything between the connect and marking the link up is
+        synchronous, so ops that arrive during the connect are journaled
+        and land in the replay, never double-sent.  The link speaks lp1
+        from its first byte, which is how the worker knows its framing.
         """
         reader, writer = await asyncio.open_connection(host, port)
-        mode = "ndjson"
-        if self.worker_framing == "lp1":
-            try:
-                mode = await self._negotiate_worker(reader, writer)
-            except asyncio.IncompleteReadError:
-                # The supervisor's retry loop catches OSError; a worker
-                # dying mid-negotiation must look like any other failed
-                # connect, not escape as EOFError.
-                writer.close()
-                raise ConnectionError(
-                    "worker closed during framing negotiation"
-                ) from None
         link = self.links[shard]
-        link.mode = mode
         records = [r for r in self.sessions.values() if r.shard == shard]
         final_t = None if self._clock == _NEG_INF else self._clock
         lines = replay_lines(records, link.extras + link.swaps, final_t=final_t)
@@ -448,24 +404,16 @@ class Router:
 
     async def _worker_writer(self, link: _WorkerLink, writer) -> None:
         queue = link.queue
-        lp1 = link.mode == "lp1"
         with suppress(ConnectionError, asyncio.CancelledError):
             while True:
                 # Coalesce: everything already queued leaves in one
                 # write() — one syscall per pump pass, not per op.
                 batch = await queue.take()
-                if lp1:
-                    data = encode_frames(line.encode() for line in batch)
-                else:
-                    data = b"".join(line.encode() + b"\n" for line in batch)
-                writer.write(data)
+                writer.write(encode_frames(line.encode() for line in batch))
                 await writer.drain()
 
     async def _worker_reader(self, link: _WorkerLink, reader) -> None:
-        if link.mode == "lp1":
-            frames = FrameReader(reader, self.max_frame)
-        else:
-            frames = LineReader(reader, self.max_line)
+        frames = FrameReader(reader, self.max_frame)
         try:
             eof = False
             while not eof:
@@ -648,7 +596,6 @@ class Router:
         links = self.links
         ns = client.ns
         cid = client.id
-        seen = client.seen
         seq = self._seq
         clock = self._clock
         clock_line = self._clock_line
@@ -679,16 +626,13 @@ class Router:
                 # non-canonical ops (``_seq``) and a tick/sweep moves
                 # the broadcast clock.
                 self._seq = seq
-                client.seen = seen
                 pending = self._route_line(client, line)
                 seq = self._seq
                 clock = self._clock
                 clock_line = self._clock_line
-                seen = client.seen
                 if pending is not None:
                     break
                 continue
-            seen = True
             stroke, ts = m.group(2, 3)
             key = ns + stroke
             record = sessions.get(key)
@@ -717,7 +661,6 @@ class Router:
                 if len(items) == 1:
                     queue.event.set()
             ops += 1
-        client.seen = seen
         self._seq = seq
         if ops:
             self._ops_pending += ops
@@ -736,33 +679,18 @@ class Router:
         try:
             payload = json.loads(line)
         except ValueError as exc:
-            client.seen = True
             client.push(encode_error(f"bad json: {exc}"))
             return None
         if isinstance(payload, dict):
-            admin_op = payload.get("op")
-            if admin_op in ("cluster", "drain", "scale"):
-                client.seen = True
+            if payload.get("op") in ("cluster", "drain", "scale"):
                 return self._admin(client, payload)
-            if admin_op == "hello":
-                # The client hop stays NDJSON (the debuggable compat
-                # path; lp1 runs router↔worker): an ndjson hello acks
-                # as a capability probe, lp1 is refused, and the
-                # connection continues either way.
-                reply, _ = negotiate(
-                    payload, first=not client.seen, allow_lp1=False
-                )
-                client.seen = True
-                client.push(reply)
-                return None
-        client.seen = True
         try:
             request = decode_payload(payload)
         except ProtocolError as exc:
             client.push(encode_error(str(exc)))
             return None
         op = request.op
-        if op == "release" or op == "pin":
+        if op in ("release", "pin", "expire"):
             # Migration internals the router speaks to its *workers*;
             # from a client they could silently corrupt live sessions.
             client.push(
@@ -908,18 +836,6 @@ class Router:
         link.extras.append((self._seq, line))
         self._seq += 1
 
-    def force_sweep(self, shard: str, max_idle: float = 0.0) -> None:
-        """Send a targeted ``sweep`` to one shard — the drain-deadline
-        hammer.  Journaled exactly like a broadcast sweep, so a crash
-        between send and processing still replays the eviction."""
-        link = self.links[shard]
-        line = json.dumps({"op": "sweep", "max_idle": max_idle})
-        self._sweeps_broadcast += 1
-        if link.state == "up":
-            link.queue.put_nowait(line)
-        if shard not in self.retired:
-            self._journal_sweep(link, line)
-
     # -- live migration ------------------------------------------------------
 
     async def quiesce(self) -> None:
@@ -1033,7 +949,7 @@ class Router:
                 )
             )
         final_t = None if self._clock == _NEG_INF else self._clock
-        lines = replay_lines([record], extras, final_t=final_t)
+        lines = replay_lines([record], extras, final_t=final_t, scoped=True)
         record.skip = record.delivered
         record.shard = dest
         dest_link = self.links[dest]
@@ -1186,7 +1102,6 @@ class Router:
                 "retired": shard in self.retired,
             }
             info.update(supervisor.get(shard, {}))
-            info["framing"] = link.mode
             shards[shard] = info
         return {
             "shards": shards,

@@ -2,10 +2,11 @@
 
 A worker is deliberately nothing new — it runs the exact single-process
 serve stack on its own core, loaded from a saved recognizer file, and
-speaks the exact NDJSON protocol.  Everything cluster-specific lives in
-the router and supervisor; a worker cannot tell whether its peer is a
-router or a plain client, which is what keeps the sharded decisions
-bit-identical to the single-process ones.
+speaks the exact serve protocol (in lp1 frames to its router: a
+connection's first byte names its framing).  Everything
+cluster-specific lives in the router and supervisor; a worker cannot
+tell whether its peer is a router or a plain client, which is what
+keeps the sharded decisions bit-identical to the single-process ones.
 
 The supervisor protocol is one JSON line per event on stdout:
 
@@ -47,7 +48,6 @@ def worker_command(
     heartbeat: float = DEFAULT_HEARTBEAT,
     metrics: bool = True,
     registry: str | None = None,
-    lp1: bool = True,
     quality: bool = False,
     quality_sample: float = 1.0,
     quality_seed: int = 0,
@@ -79,8 +79,6 @@ def worker_command(
         cmd += ["--registry", str(registry)]
     if model_cache is not None:
         cmd += ["--model-cache", str(model_cache)]
-    if not lp1:
-        cmd.append("--no-lp1")
     if quality:
         cmd.append("--quality")
         if quality_sample != 1.0:
@@ -134,7 +132,6 @@ async def _amain(args: argparse.Namespace) -> int:
         observer=observer,
         registry=args.registry,
         model_cache=args.model_cache,
-        allow_lp1=not args.no_lp1,
     )
     await server.start()
     host, port = server.address
@@ -198,12 +195,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="bound swapped-in models resident per pool to N, LRU-"
         "evicted and reloaded from the registry on next use",
-    )
-    parser.add_argument(
-        "--no-lp1",
-        action="store_true",
-        help="refuse lp1 framing negotiation (NDJSON only — the legacy"
-        " wire, for mixed-fleet compat testing)",
     )
     parser.add_argument(
         "--quality",

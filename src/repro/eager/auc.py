@@ -61,16 +61,6 @@ class AmbiguityClassifier:
 
     # -- batched evaluation --------------------------------------------------
 
-    def classify_set_many(
-        self, features: np.ndarray, extra_tolerance: np.ndarray | None = None
-    ) -> list[str]:
-        """Winning set per row of an ``(n, F)`` matrix.
-
-        Bit-identical to ``[classify_set(f) for f in features]`` — see
-        :meth:`~repro.recognizer.LinearClassifier.classify_many`.
-        """
-        return self.linear.classify_many(features, extra_tolerance)
-
     def is_unambiguous_many(
         self, features: np.ndarray, extra_tolerance: np.ndarray | None = None
     ) -> np.ndarray:

@@ -257,10 +257,6 @@ class EllipseShape(Shape):
         self.rx = max(float(rx), 1e-9)
         self.ry = max(float(ry), 1e-9)
 
-    def set_center(self, x: float, y: float) -> None:
-        self.center = (float(x), float(y))
-        self.changed()
-
     def set_radii(self, rx: float, ry: float) -> None:
         """Size and eccentricity in one call (the manip semantics)."""
         self.rx = max(float(abs(rx)), 1e-9)
@@ -329,10 +325,6 @@ class TextShape(Shape):
 
     def set_position(self, x: float, y: float) -> None:
         self.position = (float(x), float(y))
-        self.changed()
-
-    def set_text(self, text: str) -> None:
-        self.text = text
         self.changed()
 
     def bounds(self) -> BoundingBox:

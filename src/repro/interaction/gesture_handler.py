@@ -126,11 +126,6 @@ class GestureHandler(EventHandler):
             return Stroke()
         return Stroke(self._state.points)
 
-    @property
-    def active_context(self) -> GestureContext | None:
-        """The live gesture context, once the gesture has been recognized."""
-        return self._state.context if self._state is not None else None
-
     # -- EventHandler protocol -------------------------------------------------
 
     def begin(

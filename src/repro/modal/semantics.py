@@ -361,15 +361,3 @@ class PairSemantics:
                 "fingers": (self.a.key, self.b.key),
             },
         )
-
-
-def stroke_drift(state: StrokeSemantics) -> float:
-    """The stroke's maximum drift from its down point (tap gating)."""
-    return state.hold.max_drift
-
-
-def tap_candidate(state: StrokeSemantics) -> bool:
-    """Whether a closed stroke should be offered to the tap tracker."""
-    return state.modality == "tap"
-
-

@@ -29,9 +29,6 @@ from .framing import (
     FrameReader,
     encode_frame,
     encode_frames,
-    encode_hello,
-    encode_hello_ack,
-    negotiate,
 )
 from .lines import LineReader
 from .loadgen import (
@@ -80,12 +77,9 @@ __all__ = [
     "encode_error",
     "encode_frame",
     "encode_frames",
-    "encode_hello",
-    "encode_hello_ack",
     "encode_stats",
     "encode_swap",
     "family_templates",
     "generate_workload",
-    "negotiate",
     "run_load",
 ]

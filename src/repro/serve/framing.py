@@ -1,12 +1,13 @@
-"""``lp1``: optional length-prefixed binary framing for the wire protocol.
+"""``lp1``: length-prefixed binary framing for the wire protocol.
 
 NDJSON (one JSON object per ``\\n``-terminated line) is the protocol's
-native, debuggable wire format and remains the default everywhere.  On
-high-throughput hops — the cluster router's connections to its workers
+native, debuggable wire format and what clients speak.  On the
+high-throughput hop — the cluster router's connections to its workers
 — newline scanning and per-line writes are pure overhead, and a payload
-can never contain a newline.  ``lp1`` removes both limits:
+can never contain a newline.  ``lp1`` removes both limits, and is the
+only framing that hop uses:
 
-Frame layout (everything after negotiation, both directions)::
+Frame layout (both directions)::
 
     +--------+-----------------+------------------+
     | 0xA7   | u32 big-endian  |  payload bytes   |
@@ -14,27 +15,16 @@ Frame layout (everything after negotiation, both directions)::
     +--------+-----------------+------------------+
 
 The payload is exactly the JSON text that NDJSON would carry on one
-line, *without* the trailing newline — switching framings never changes
-a single payload byte, which is what keeps the cluster's byte-identity
+line, *without* the trailing newline — the framing never changes a
+single payload byte, which is what keeps the cluster's byte-identity
 invariant framing-independent.  Payloads may contain newlines and may
 exceed the NDJSON line cap (frames are bounded by ``max_frame``,
 default 1 MiB).
 
-Negotiation (one round trip, first line only)::
-
-    client: {"op": "hello", "framing": "lp1"}\\n        # always NDJSON
-    server: <lp1 frame containing {"kind": "hello", "framing": "lp1"}>
-
-* A ``hello`` is only honoured as the **first** line of a connection;
-  after any other line (valid or not) a hello gets a ``late hello``
-  error reply and the framing stays NDJSON — the connection survives.
-* ``{"framing": "ndjson"}`` is acked (as NDJSON) and changes nothing —
-  a cheap capability probe.
-* An unknown framing, or ``lp1`` against a server that disabled it
-  (``allow_lp1=False`` / ``--no-lp1``), gets an error reply and the
-  connection continues in NDJSON.  The router treats a refusal from a
-  worker as "legacy worker" and falls back per link, so mixed fleets
-  interoperate.
+The first byte of a connection names its framing: a server reads the
+connection as lp1 (and answers in lp1) when it starts with the magic
+``0xA7``, and as NDJSON otherwise.  ``0xA7`` is a UTF-8 continuation
+byte, so no NDJSON line can begin with it.
 
 Decode-side error handling mirrors :class:`~repro.serve.lines.LineReader`
 one-for-one — a damaged frame costs one error event, never the
@@ -51,17 +41,12 @@ connection:
 
 from __future__ import annotations
 
-import json
-
 __all__ = [
     "DEFAULT_MAX_FRAME",
     "FRAME_MAGIC",
     "FrameReader",
     "encode_frame",
     "encode_frames",
-    "encode_hello",
-    "encode_hello_ack",
-    "negotiate",
 ]
 
 FRAME_MAGIC = 0xA7
@@ -73,8 +58,6 @@ _HEADER = 5  # magic + u32 length
 DEFAULT_MAX_FRAME = 1 << 20
 
 _CHUNK = 65536
-
-FRAMINGS = ("ndjson", "lp1")
 
 
 def encode_frame(payload: bytes) -> bytes:
@@ -95,42 +78,6 @@ def encode_frames(payloads) -> bytes:
     return bytes(buf)
 
 
-def encode_hello(framing: str) -> str:
-    """The client-side negotiation request (sent as an NDJSON line)."""
-    return json.dumps({"op": "hello", "framing": framing})
-
-
-def encode_hello_ack(framing: str) -> str:
-    """The server-side negotiation acknowledgement payload."""
-    return json.dumps({"kind": "hello", "framing": framing})
-
-
-def negotiate(payload: dict, *, first: bool, allow_lp1: bool):
-    """Decide one ``hello``'s outcome; returns ``(reply_line, new_mode)``.
-
-    ``new_mode`` is ``"lp1"`` when the connection must switch framing
-    (the reply is then the first lp1 frame), else ``None`` — the reply
-    goes out in the current framing and nothing changes.  Shared by
-    :class:`~repro.serve.GestureServer` and the cluster router's client
-    side so both ends refuse identically.
-    """
-    from .protocol import encode_error
-
-    framing = payload.get("framing")
-    if not first:
-        return (
-            encode_error("late hello: framing is negotiated on the first line"),
-            None,
-        )
-    if framing == "ndjson":
-        return encode_hello_ack("ndjson"), None
-    if framing == "lp1":
-        if not allow_lp1:
-            return encode_error("framing lp1 unsupported"), None
-        return encode_hello_ack("lp1"), "lp1"
-    return encode_error(f"unknown framing: {framing!r}"), None
-
-
 class FrameReader:
     """Split a ``StreamReader`` into lp1 frames of at most ``max_frame``.
 
@@ -140,9 +87,8 @@ class FrameReader:
     ``"truncated"``, or ``"eof"``; :meth:`next_batch` returns every
     event decodable from what has already arrived, awaiting the stream
     only when the buffer holds no complete frame.  ``initial`` seeds the
-    buffer with bytes a line reader had already consumed before the
-    framing switch (a client may pipeline its first frames behind the
-    hello line).
+    buffer with bytes already read from the stream (the server's
+    first-byte framing check reads one chunk before picking a reader).
     """
 
     def __init__(self, reader, max_frame: int = DEFAULT_MAX_FRAME, initial: bytes = b""):

@@ -9,9 +9,9 @@ to a byte cap, and when a line overruns the cap it swallows the rest of
 that line (however long) and reports a single ``"overflow"`` event, so
 the connection survives and the next line parses cleanly.
 
-Used by :class:`~repro.serve.GestureServer` connections and by the
-cluster router's client and worker links — every socket that speaks the
-protocol frames it the same way.
+Used by :class:`~repro.serve.GestureServer`'s NDJSON connections and by
+the cluster router's client connections — every socket that speaks
+NDJSON frames it the same way.
 """
 
 from __future__ import annotations
@@ -33,12 +33,15 @@ class LineReader:
     * ``"eof"`` — the peer closed the stream.  A non-empty unterminated
       tail is returned as a final ``"line"`` first, matching
       ``readline``'s end-of-stream behaviour.
+
+    ``initial`` seeds the buffer with bytes already read from the
+    stream, as :class:`~repro.serve.framing.FrameReader`'s does.
     """
 
-    def __init__(self, reader, max_line: int = 65536):
+    def __init__(self, reader, max_line: int = 65536, initial: bytes = b""):
         self._reader = reader
         self.max_line = max_line
-        self._buf = bytearray()
+        self._buf = bytearray(initial)
         self._pos = 0  # consumed prefix of _buf (compacted lazily)
         self._scanned = 0  # no b"\n" between _pos and this offset
         self._skipping = False  # inside an oversized line's remainder
@@ -69,14 +72,6 @@ class LineReader:
         if len(line) > self.max_line:
             return "overflow", b""
         return "line", line
-
-    def take_buffer(self) -> bytes:
-        """Hand over unconsumed bytes (for a framing switch) and reset."""
-        data = bytes(self._buf[self._pos :])
-        self._buf.clear()
-        self._pos = 0
-        self._scanned = 0
-        return data
 
     async def next(self) -> tuple[str, bytes]:
         while True:

@@ -383,29 +383,52 @@ class SessionPool:
                 floor = s.last_t
         self._scan_floor = floor
         if expired:
-            quality = self._quality
-            names = self._classify_full(expired)
-            for session, name in zip(expired, names):
-                self._decide(session, name, eager=False)
-                decision = Decision(
-                    key=session.key,
-                    kind="recog",
-                    t=session.last_t + self.timeout,
-                    class_name=name,
-                    eager=False,
-                    points_seen=session.count,
-                    total_points=session.count,
-                    reason="timeout",
-                )
-                out.append(decision)
-                if quality is not None:
-                    quality.decided(
-                        session.points, decision, self._quality_vector(session)
-                    )
+            self._time_out(expired, out)
         obs = self.observer
         if obs is not None and out:
             obs.decisions(out)
         return out
+
+    def expire(self, key: str, t: float) -> list[Decision]:
+        """Apply buffered input, then time out ``key`` alone if due at ``t``.
+
+        A barrier scoped to one session that never moves the clock: the
+        session fires exactly as :meth:`advance_to` would fire it at
+        ``t``, and no other session is judged.  This is how a session
+        migrated into a *warm* pool replays its journal's clock markers
+        against its own history, even though this pool's clock already
+        stands past them.
+        """
+        out = self._drain()
+        session = self._undecided.get(key)
+        if session is not None and session.last_t <= t - self.timeout:
+            self._time_out([session], out)
+        obs = self.observer
+        if obs is not None and out:
+            obs.decisions(out)
+        return out
+
+    def _time_out(self, expired: list[_Session], out: list[Decision]) -> None:
+        """Decide ``expired`` on their prefixes: motionless-timeout recogs."""
+        quality = self._quality
+        names = self._classify_full(expired)
+        for session, name in zip(expired, names):
+            self._decide(session, name, eager=False)
+            decision = Decision(
+                key=session.key,
+                kind="recog",
+                t=session.last_t + self.timeout,
+                class_name=name,
+                eager=False,
+                points_seen=session.count,
+                total_points=session.count,
+                reason="timeout",
+            )
+            out.append(decision)
+            if quality is not None:
+                quality.decided(
+                    session.points, decision, self._quality_vector(session)
+                )
 
     def evict_idle(self, max_idle: float = DEFAULT_IDLE_TIMEOUT) -> list[Decision]:
         """Drop sessions with no input for ``max_idle`` seconds of virtual time."""

@@ -40,15 +40,21 @@ byte streams are untouched (see :meth:`~repro.serve.SessionPool.
 swap_model`).  The server acks with a ``swap`` reply carrying the
 resolved ``name@version``.
 
-Two further ops are *internal* — the cluster router speaks them to its
-workers during live session migration and rejects them from clients:
-``release`` (``{"op": "release", "stroke": "s1"}``) silently forgets a
-session that migrated away (acked with ``{"kind": "released", ...}``,
-never a decision), and ``pin`` (``{"op": "pin", "stroke": "s1",
-"model": "name@version"}``) one-shot-pins the model the stroke's *next*
-session open must bind — how a migrated session keeps the historical
-model it opened under, even though the destination pool's per-user
-assignments have since moved on (``model: ""`` pins the default).
+Three further ops are *internal* — the cluster router speaks them to
+its workers during live session migration and rejects them from
+clients: ``release`` (``{"op": "release", "stroke": "s1"}``) silently
+forgets a session that migrated away (acked with ``{"kind":
+"released", ...}``, never a decision); ``pin`` (``{"op": "pin",
+"stroke": "s1", "model": "name@version"}``) one-shot-pins the model the
+stroke's *next* session open must bind — how a migrated session keeps
+the historical model it opened under, even though the destination
+pool's per-user assignments have since moved on (``model: ""`` pins the
+default); and ``expire`` (``{"op": "expire", "stroke": "s1", "t":
+0.2}``) is a barrier scoped to one session that never moves the clock:
+it times the stroke out if it has been motionless for ``timeout`` at
+``t`` (:meth:`~repro.serve.SessionPool.expire`) — how a migrated
+journal's clock markers replay into a destination whose clock already
+stands past them.
 
 Replies (server → client)::
 
@@ -82,7 +88,18 @@ __all__ = [
     "encode_swap",
 ]
 
-_OPS = ("down", "move", "up", "tick", "sweep", "stats", "swap", "release", "pin")
+_OPS = (
+    "down",
+    "move",
+    "up",
+    "tick",
+    "sweep",
+    "stats",
+    "swap",
+    "release",
+    "pin",
+    "expire",
+)
 
 # Ops that may omit ``t`` (it defaults to 0.0, a virtual-clock no-op).
 _OPTIONAL_T = ("sweep", "stats", "release", "pin")
@@ -157,9 +174,10 @@ def decode_payload(payload) -> Request:
     stroke = payload.get("stroke")
     if not isinstance(stroke, str) or not stroke:
         raise ProtocolError("missing stroke id")
-    if op == "release":
+    if op == "release" or op == "expire":
         # Internal (router → worker only): silently forget a session
-        # that migrated away.  Carries no point, produces no decision.
+        # that migrated away, or time one session out at ``t`` without
+        # moving the clock.  Neither carries a point.
         return Request(op=op, t=t, stroke=stroke)
     if op == "pin":
         # Internal (router → worker only): one-shot model pin for the

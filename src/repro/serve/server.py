@@ -1,9 +1,11 @@
 """An asyncio front end over the session pool.
 
 :class:`GestureServer` accepts newline-delimited JSON event streams
-(see :mod:`repro.serve.protocol`) over TCP, and offers the identical
-interface in-process through :meth:`GestureServer.open_channel` — tests
-and embedders talk to the same pump the sockets do.
+(see :mod:`repro.serve.protocol`) over TCP, or lp1 frames
+(:mod:`repro.serve.framing`) when a connection's first byte is the
+frame magic.  It offers the identical interface in-process through
+:meth:`GestureServer.open_channel` — tests and embedders talk to the
+same pump the sockets do.
 
 Concurrency model
 -----------------
@@ -53,7 +55,7 @@ from time import perf_counter
 
 from ..eager import EagerRecognizer
 from ..interaction import DEFAULT_TIMEOUT
-from .framing import DEFAULT_MAX_FRAME, FrameReader, encode_frames, negotiate
+from .framing import DEFAULT_MAX_FRAME, FRAME_MAGIC, FrameReader, encode_frames
 from .lines import LineReader
 from .pool import Decision, SessionPool
 from .protocol import (
@@ -72,18 +74,10 @@ __all__ = ["Channel", "DEFAULT_MAX_LINE", "GestureServer"]
 # (the longest op is a down/move/up with four floats).
 DEFAULT_MAX_LINE = 65536
 
+# How much of a new connection to read before picking its framing.
+_FIRST_READ = 65536
+
 _CLOSE = object()  # outbox sentinel
-
-
-class _Wire:
-    """One TCP connection's negotiated framing, shared between the
-    reader loop (which switches it) and the reply drain task (which
-    encodes with it)."""
-
-    __slots__ = ("mode",)
-
-    def __init__(self):
-        self.mode = "ndjson"
 
 
 class Channel:
@@ -147,7 +141,6 @@ class GestureServer:
         observer=None,
         fault_injector=None,
         registry=None,
-        allow_lp1: bool = True,
         model_cache: int | None = None,
         record=None,
     ):
@@ -176,7 +169,6 @@ class GestureServer:
         self.queue_size = queue_size
         self.max_line = max_line
         self.max_frame = max_frame
-        self.allow_lp1 = allow_lp1
         # Cumulative pump busy time (recognition work, not transport):
         # the worker half of the cluster benchmark's breakdown, exported
         # on stats replies as "busy_s".
@@ -268,7 +260,9 @@ class GestureServer:
     def _fault_key(item: tuple[Channel, Request]) -> str | None:
         """Session key of one pump item; None exempts it from faults."""
         channel, request = item
-        if request.op in ("tick", "sweep", "stats", "swap", "release", "pin"):
+        if request.op in (
+            "tick", "sweep", "stats", "swap", "release", "pin", "expire"
+        ):
             return None
         return f"{channel.id}/{request.stroke}"
 
@@ -327,6 +321,12 @@ class GestureServer:
                 self.pool.release(key, request.t)
                 dirty = True
                 released.append((channel, request.stroke))
+                continue
+            if op == "expire":
+                # A migrated journal's clock marker: judged against the
+                # session's own history, so the clock stays put.
+                decisions.extend(self.pool.expire(key, request.t))
+                dirty = False
                 continue
             if op == "pin":
                 line, applied = self._pin(channel, key, request)
@@ -485,104 +485,52 @@ class GestureServer:
 
     # -- TCP ------------------------------------------------------------------
 
-    def _frame_error(self, kind: str, mode: str) -> str:
+    def _frame_error(self, kind: str, lp1: bool) -> str:
         if kind == "overflow":
-            if mode == "lp1":
+            if lp1:
                 return encode_error(f"frame exceeds {self.max_frame} bytes")
             return encode_error(f"line exceeds {self.max_line} bytes")
         if kind == "garbage":
             return encode_error("bad frame magic")
         return encode_error("truncated frame")
 
-    def _bad_request_reply(self, line: bytes, exc: ProtocolError) -> str:
-        """The error reply for one undecodable line.
-
-        A ``hello`` arriving after the first line is the one case that
-        deserves a more specific message than ``unknown op: 'hello'`` —
-        framing cannot be renegotiated mid-connection (replies already
-        in flight would straddle the switch), and the error should say
-        so.  Only the (rare) error path pays the re-parse.
-        """
-        if b'"hello"' in line:
-            try:
-                payload = json.loads(line)
-            except ValueError:
-                payload = None
-            if isinstance(payload, dict) and payload.get("op") == "hello":
-                reply, _ = negotiate(
-                    payload, first=False, allow_lp1=self.allow_lp1
-                )
-                return reply
-        return encode_error(str(exc))
-
     async def _handle_connection(self, reader, writer) -> None:
         channel = await self.open_channel()
-        wire = _Wire()
-        drain_task = asyncio.get_running_loop().create_task(
-            self._drain_replies(channel, writer, wire)
-        )
-        frames = LineReader(reader, self.max_line)
-        first = True  # no event processed yet: a hello can still switch
+        drain_task = None
         try:
+            # The first byte names the connection's framing: lp1 frames
+            # start with the magic 0xA7, a UTF-8 continuation byte no
+            # NDJSON line can begin with.  Replies use the same framing.
+            chunk = await reader.read(_FIRST_READ)
+            lp1 = chunk[:1] == bytes([FRAME_MAGIC])
+            if lp1:
+                frames = FrameReader(reader, self.max_frame, initial=chunk)
+            else:
+                frames = LineReader(reader, self.max_line, initial=chunk)
+            drain_task = asyncio.get_running_loop().create_task(
+                self._drain_replies(channel, writer, lp1)
+            )
             eof = False
             while not channel.closed and not eof:
-                if first:
-                    # One event at a time until the framing is settled:
-                    # bytes after a hello line are frames, not lines,
-                    # and must not be consumed by the line scanner.
-                    events = [await frames.next()]
-                else:
-                    events = await frames.next_batch()
-                for kind, line in events:
+                for kind, line in await frames.next_batch():
                     if kind == "eof":
                         eof = True
                         break
                     if kind != "line":
-                        first = False
                         # One bad line/frame is not a reason to lose
                         # every other in-flight stroke: report it and
                         # keep the connection.
-                        if not channel._push(self._frame_error(kind, wire.mode)):
+                        if not channel._push(self._frame_error(kind, lp1)):
                             eof = True
                             break
                         continue
                     line = line.strip()
                     if not line:
                         continue
-                    if first:
-                        first = False
-                        if line.startswith(b"{") and b'"hello"' in line:
-                            try:
-                                payload = json.loads(line)
-                            except ValueError:
-                                payload = None
-                            if (
-                                isinstance(payload, dict)
-                                and payload.get("op") == "hello"
-                            ):
-                                reply, new_mode = negotiate(
-                                    payload,
-                                    first=True,
-                                    allow_lp1=self.allow_lp1,
-                                )
-                                if new_mode == "lp1":
-                                    # The ack is the first lp1 frame;
-                                    # bytes the line scanner had already
-                                    # buffered are frames.
-                                    wire.mode = "lp1"
-                                    frames = FrameReader(
-                                        reader,
-                                        self.max_frame,
-                                        initial=frames.take_buffer(),
-                                    )
-                                if not channel._push(reply):
-                                    eof = True
-                                    break
-                                continue
                     try:
                         request = decode_request(line)
                     except ProtocolError as exc:
-                        if not channel._push(self._bad_request_reply(line, exc)):
+                        if not channel._push(encode_error(str(exc))):
                             eof = True
                             break
                         continue
@@ -591,14 +539,14 @@ class GestureServer:
             pass
         finally:
             self._close_channel(channel)
-            with suppress(asyncio.CancelledError):
-                await drain_task
+            if drain_task is not None:
+                with suppress(asyncio.CancelledError):
+                    await drain_task
             writer.close()
             with suppress(ConnectionError):
                 await writer.wait_closed()
 
-    async def _drain_replies(self, channel: Channel, writer, wire=None) -> None:
-        mode = wire if wire is not None else _Wire()
+    async def _drain_replies(self, channel: Channel, writer, lp1: bool) -> None:
         with suppress(ConnectionError):
             closing = False
             while not closing:
@@ -618,7 +566,7 @@ class GestureServer:
                         closing = True
                         break
                     batch.append(item)
-                if mode.mode == "lp1":
+                if lp1:
                     data = encode_frames(l.encode() for l in batch)
                 else:
                     data = b"".join(l.encode() + b"\n" for l in batch)

@@ -4,8 +4,8 @@ Spinning real worker *subprocesses* per hypothesis example is far too
 slow (and makes shrinking miserable), so :class:`InProcessCluster` runs
 the same data plane — a real :class:`~repro.cluster.router.Router` in
 front of N real :class:`~repro.serve.GestureServer` instances — inside
-one event loop, over real TCP sockets.  Nothing is mocked: framing
-negotiation, journaling, replay, migration, drain, join/scale, and
+one event loop, over real TCP sockets.  Nothing is mocked: lp1
+framing, journaling, replay, migration, drain, join/scale, and
 swap broadcast all run the production code paths.  Only the supervisor
 is absent; its duties (restart-on-death, spawn-on-join,
 terminate-on-retire) are played by :meth:`crash`, :meth:`join`, and
@@ -40,7 +40,6 @@ from repro.serve import (
     encode_decision,
     encode_error,
     encode_swap,
-    negotiate,
 )
 
 __all__ = [
@@ -60,18 +59,13 @@ class InProcessCluster:
         workers: int = 2,
         *,
         timeout: float = DEFAULT_TIMEOUT,
-        framing: str = "lp1",
-        no_lp1_shards=(),
         registry=None,
     ):
         self.recognizer = recognizer
         self.timeout = timeout
         self.registry = registry
-        self.no_lp1_shards = frozenset(no_lp1_shards)
         self.shards = tuple(f"w{i}" for i in range(workers))
-        self.router = Router(
-            self.shards, registry=registry, worker_framing=framing
-        )
+        self.router = Router(self.shards, registry=registry)
         self.router.drain_hook = self.drain
         self.router.scale_hook = self.scale_to
         self.servers: dict[str, GestureServer] = {}
@@ -106,7 +100,6 @@ class InProcessCluster:
             port=0,
             timeout=self.timeout,
             registry=self.registry,
-            allow_lp1=shard not in self.no_lp1_shards,
         )
         await server.start()
         self.servers[shard] = server
@@ -181,7 +174,7 @@ class InProcessCluster:
 
 
 async def churn_connection(host: str, port: int) -> None:
-    """One short-lived extra client: probe, garbage, hang up.
+    """One short-lived extra client: unknown op, garbage, hang up.
 
     Exercises connection churn without perturbing the primary stream —
     replies are per-connection, and neither line below touches the
@@ -189,11 +182,11 @@ async def churn_connection(host: str, port: int) -> None:
     """
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        writer.write(b'{"op": "hello", "framing": "lp1"}\nnot json!\n')
+        writer.write(b'{"op": "zap"}\nnot json!\n')
         await writer.drain()
         first = json.loads(await reader.readline())
         assert first["kind"] == "error", first
-        assert first["reason"] == "framing lp1 unsupported", first
+        assert first["reason"] == "unknown op: 'zap'", first
         second = json.loads(await reader.readline())
         assert second["kind"] == "error", second
         assert second["reason"].startswith("bad json"), second
@@ -332,31 +325,25 @@ async def drive_script(
     return replies
 
 
-def _non_op_reply(line: str, first: bool = False):
+def _non_op_reply(line: str):
     """Predict the router's reply for a line that is not a session op.
 
     Mirrors the router's legacy client path exactly (same json error
-    text, same ``decode_payload`` messages, same hello negotiation), so
-    the expected error bytes need no hand-maintained table.  Returns
-    ``(reply, None)`` for error/hello lines and ``(None, request)``
-    when the line is a *valid* session op in non-canonical form, which
-    the reference must then apply to the pool.  ``first`` says whether
-    this is the connection's very first line — a hello is then a
-    genuine negotiation probe (refused: the client hop is NDJSON-only)
-    rather than the late-hello error.
+    text, same ``decode_payload`` messages), so the expected error
+    bytes need no hand-maintained table.  Returns ``(reply, None)`` for
+    error lines and ``(None, request)`` when the line is a *valid*
+    session op in non-canonical form, which the reference must then
+    apply to the pool.
     """
     try:
         payload = json.loads(line)
     except ValueError as exc:
         return encode_error(f"bad json: {exc}"), None
-    if isinstance(payload, dict) and payload.get("op") == "hello":
-        reply, _ = negotiate(payload, first=first, allow_lp1=False)
-        return reply, None
     try:
         request = decode_payload(payload)
     except ProtocolError as exc:
         return encode_error(str(exc)), None
-    if request.op in ("release", "pin"):
+    if request.op in ("release", "pin", "expire"):
         # Migration internals: valid protocol, but the router refuses
         # them from clients (same bytes as Router._route_line).
         return (
@@ -388,10 +375,6 @@ def reference_script(
     )
     replies: dict[str, list[str]] = {}
     latest = float("-inf")
-    # Whether any line has been sent on the primary connection yet —
-    # a raw hello landing *first* takes the negotiation path (refused,
-    # the client hop is NDJSON-only), not the late-hello error.
-    seen = False
 
     def emit(decisions) -> None:
         for d in decisions:
@@ -407,16 +390,13 @@ def reference_script(
             if group:
                 pool.submit(group, t)
                 latest = max(latest, t)
-                seen = True
         elif kind == "tick":
             latest = max(latest, event[1])
             emit(pool.advance_to(latest))
-            seen = True
         elif kind == "sweep":
             if latest > float("-inf"):
                 emit(pool.advance_to(latest))
             emit(pool.evict_idle(event[1]))
-            seen = True
         elif kind == "swap":
             _, user, model, t = event
             name, _, version = model.partition("@")
@@ -427,10 +407,8 @@ def reference_script(
                 user, registry.load(name, version), t, label=pinned
             )
             misc(encode_swap(user, pinned, t))
-            seen = True
         elif kind == "raw":
-            reply, request = _non_op_reply(event[1], first=not seen)
-            seen = True
+            reply, request = _non_op_reply(event[1])
             if reply is not None:
                 misc(reply)
             else:
@@ -445,7 +423,6 @@ def reference_script(
                     {"kind": "drain", "shard": event[1], "status": "started"}
                 )
             )
-            seen = True
         elif kind == "scale":
             misc(
                 json.dumps(
@@ -456,7 +433,6 @@ def reference_script(
                     }
                 )
             )
-            seen = True
         # crash / join / churn / wait_workers / wait_retired: invisible
         # by construction — topology is not allowed to touch the bytes.
     return replies

@@ -224,8 +224,8 @@ def test_load_sample_excludes_retired_and_draining_shards():
 
 
 def test_clients_cannot_send_internal_migration_ops():
-    # ``release`` and ``pin`` are router->worker ops; a client sending
-    # them must get an error, not a forwarded line.
+    # ``release``, ``pin`` and ``expire`` are router->worker ops; a
+    # client sending them must get an error, not a forwarded line.
     async def run():
         router = Router(["w0"])
         await router.start()
@@ -241,6 +241,7 @@ def test_clients_cannot_send_internal_migration_ops():
             for line in (
                 b'{"op": "release", "stroke": "s1"}',
                 b'{"op": "pin", "stroke": "s1", "model": "alt"}',
+                b'{"op": "expire", "stroke": "s1", "t": 0.5}',
             ):
                 reply = await ask(line)
                 assert reply["kind"] == "error"

@@ -77,3 +77,17 @@ def test_replay_without_final_t_appends_nothing():
     a.journal(0, op("k1:s1", "down", 0.0), clock=0.0, t=0.0)
     assert kinds(replay_lines([a])) == ["tick", "down"]
     assert kinds(replay_lines([a], final_t=float("-inf"))) == ["tick", "down"]
+
+
+def test_scoped_replay_turns_markers_into_session_expires():
+    # Migration replays into a warm destination: each marker becomes an
+    # expire for the migrating session, at the marker's own value.
+    a = SessionRecord("k1:s1", "k1", "w0")
+    seq = a.journal(0, op("k1:s1", "down", 0.0), clock=0.0, t=0.0)
+    a.journal(seq, op("k1:s1", "move", 0.1), clock=0.08, t=0.1)
+    lines = replay_lines([a], final_t=0.3, scoped=True)
+    assert kinds(lines) == ["expire", "down", "expire", "move", "tick"]
+    assert json.loads(lines[2]) == {"op": "expire", "stroke": "k1:s1", "t": 0.08}
+    assert json.loads(lines[-1]) == {"op": "tick", "t": 0.3}
+    # Unscoped (crash) replay is unchanged.
+    assert kinds(replay_lines([a])) == ["tick", "down", "tick", "move"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import asyncio
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.cluster import workload_ticks
@@ -86,8 +86,6 @@ def modal_cases(draw):
         "clients": draw(st.integers(min_value=2, max_value=3)),
         "gestures": draw(st.integers(min_value=1, max_value=2)),
         "seed": draw(st.integers(min_value=0, max_value=2**16)),
-        "framing": draw(st.sampled_from(["lp1", "ndjson"])),
-        "mixed": draw(st.booleans()),
         "crash": crash,
         "drain": drain,
         "join": None,
@@ -127,14 +125,10 @@ def _run_modal_case(case, recognizers) -> None:
     end_t = end_time(ticks)
     script = build_script(case, ticks, end_t)
     expected = reference_script(recognizer, script)
-    no_lp1 = ("w0",) if case["mixed"] and case["framing"] == "lp1" else ()
-
     async def run():
         async with InProcessCluster(
             recognizer,
             case["workers"],
-            framing=case["framing"],
-            no_lp1_shards=no_lp1,
         ) as cluster:
             return await drive_script(cluster, script)
 
@@ -142,7 +136,38 @@ def _run_modal_case(case, recognizers) -> None:
     assert_byte_identical(replies, expected)
 
 
+def _drained_pinch(**overrides):
+    """A drain-by-migration pinch case: a paired session that was eagerly
+    recognized on w0 migrates into w1 after w1's clock passed its
+    opening point by the motionless timeout."""
+    case = {
+        "family": "pinch",
+        "workers": 2,
+        "clients": 2,
+        "gestures": 1,
+        "seed": 0,
+        "crash": None,
+        "drain": (0.5, 0),
+        "join": None,
+        "scale": None,
+        "swap": None,
+        "rawop_at": None,
+        "bads": [],
+        "sweeps": [],
+        "churn": [0.75],
+    }
+    case.update(overrides)
+    return case
+
+
 @given(case=modal_cases())
+@example(case=_drained_pinch())
+@example(case=_drained_pinch(seed=1))
+@example(case=_drained_pinch(churn=[0.9]))
+@example(
+    case=_drained_pinch(drain=(0.625, 0), sweeps=[(0.5, 1e9)], churn=[0.6875])
+)
+@example(case=_drained_pinch(gestures=2, drain=(0.6875, 0), churn=[0.8125]))
 def test_differential_modal_cluster_vs_pool(case, modal_cluster_recognizers):
     _run_modal_case(case, modal_cluster_recognizers)
 
@@ -158,15 +183,13 @@ def test_modal_differential_pilots(family, modal_cluster_recognizers):
         "clients": 3,
         "gestures": 2,
         "seed": 37,
-        "framing": "lp1",
-        "mixed": True,
         "crash": (0.35, 1),
         "drain": (0.6, 2),
         "join": None,
         "scale": None,
         "swap": None,
         "rawop_at": None,
-        "bads": [(0.15, BAD_LINES[0]), (0.7, BAD_LINES[4])],
+        "bads": [(0.15, BAD_LINES[0]), (0.7, BAD_LINES[2])],
         "sweeps": [(0.5, 1e9)],
         "churn": [0.4],
     }

@@ -3,10 +3,10 @@
 A scripted in-process "worker" — a bare asyncio server that records the
 lines it receives and never replies — stands in for the real
 :class:`~repro.serve.GestureServer`, so exactly what a restarted worker
-would be fed is observable directly.  The routers are pinned to
-``worker_framing="ndjson"``: a silent fake cannot answer the lp1 hello,
-and framing negotiation has its own suite (tests/serve/test_framing.py).  Both tests are regressions from
-review findings against the crash-recovery path.
+would be fed is observable directly: the fake reads the router's lp1
+frames with the same :class:`~repro.serve.FrameReader` a worker uses.
+Both tests are regressions from review findings against the
+crash-recovery path.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import asyncio
 import json
 
 from repro.cluster import Router
+from repro.serve import FrameReader
 
 
 class FakeWorker:
@@ -32,11 +33,12 @@ class FakeWorker:
         return host, port
 
     async def _handle(self, reader, writer) -> None:
+        frames = FrameReader(reader)
         while True:
-            raw = await reader.readline()
-            if not raw:
+            kind, payload = await frames.next()
+            if kind == "eof":
                 break
-            self.lines.append(json.loads(raw))
+            self.lines.append(json.loads(payload))
 
     async def stop(self) -> None:
         if self._server is not None:
@@ -64,7 +66,7 @@ def test_sweep_sent_to_live_worker_is_still_replayed_after_crash():
     # only safe to forget once its effects are in the journal's terminal
     # drops.  The replay for a restarted worker must re-run it.
     async def run():
-        router = Router(["w0"], worker_framing="ndjson")
+        router = Router(["w0"])
         await router.start()
         first, second = FakeWorker(), FakeWorker()
         try:
@@ -109,7 +111,7 @@ def test_sweep_with_no_live_sessions_is_not_journaled():
     # Pruning bound: with nothing to evict on replay, a sweep is dead
     # weight — extras must not grow without bound under periodic sweeps.
     async def run():
-        router = Router(["w0"], worker_framing="ndjson")
+        router = Router(["w0"])
         await router.start()
         try:
             _, writer = await asyncio.open_connection(*router.address)
@@ -139,7 +141,7 @@ def test_markers_carry_broadcast_clock_not_peer_op_timestamps():
     # the op, would fire a motionless timeout the live worker never
     # fired and break byte-identical recovery.
     async def run():
-        router = Router(["w0"], worker_framing="ndjson")
+        router = Router(["w0"])
         await router.start()
         try:
             _, writer = await asyncio.open_connection(*router.address)

@@ -1,19 +1,19 @@
-"""lp1 framing conformance: round-trips, damage, negotiation, interop.
+"""lp1 framing conformance: round-trips, damage, first-byte framing.
 
-Three layers:
+Two layers:
 
 * :class:`~repro.serve.FrameReader` unit properties — any payload
   (embedded newlines, > 64 KiB) round-trips; truncated, oversized, and
   garbage-prefixed streams produce exactly one error event each and
   leave the reader in sync;
-* a live :class:`~repro.serve.GestureServer` — negotiation outcomes
-  (ack, refusal, unknown, late), damaged frames answered with protocol
-  errors while the connection survives, and reply *payloads* identical
-  between an NDJSON and an lp1 connection;
-* mixed-fleet interop — an in-process cluster whose router speaks lp1
-  to some workers and NDJSON to others (``no_lp1_shards``) must be
-  byte-identical at the client to an all-NDJSON fleet and to the
-  single-pool reference.
+* a live :class:`~repro.serve.GestureServer` — a connection whose first
+  byte is the frame magic is read and answered in lp1, any other in
+  NDJSON, with identical reply *payloads* either way; damaged frames
+  are answered with protocol errors while the connection survives, and
+  ``hello`` is just an unknown op.
+
+The cluster's lp1 router↔worker hop is covered end to end by the
+differential suites in ``tests/cluster``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.serve import (
     GestureServer,
     encode_frame,
     encode_frames,
-    encode_hello,
 )
 
 from .test_server import _stroke_requests
@@ -107,7 +106,8 @@ def test_oversized_frame_is_skipped_and_stream_stays_in_sync():
 
 
 def test_initial_buffer_is_consumed_before_the_stream():
-    # Frames pipelined behind the hello line arrive via `initial`.
+    # Bytes the server's first-byte framing check already read arrive
+    # via `initial`.
     events = _events(encode_frame(b"second"), initial=encode_frame(b"first"))
     assert events == [
         ("line", b"first"),
@@ -116,7 +116,7 @@ def test_initial_buffer_is_consumed_before_the_stream():
     ]
 
 
-# -- server: negotiation and survival --------------------------------------
+# -- server: first-byte framing and survival----------------------------------
 
 
 def _encode_request(req) -> str:
@@ -174,16 +174,12 @@ def test_lp1_and_ndjson_clients_get_identical_payloads(directions_recognizer):
         nd = await _read_lines_until(reader, "commit")
         writer.close()
         await writer.wait_closed()
-        # lp1 connection, same ops as frames.
+        # lp1 connection, same ops as frames: the magic byte that starts
+        # the first frame is all it takes.
         reader, writer = await asyncio.open_connection(host, port)
-        writer.write((encode_hello("lp1") + "\n").encode())
         writer.write(encode_frames(_gesture_payloads("s2")))
         await writer.drain()
-        frames = FrameReader(reader)
-        kind, ack = await frames.next()
-        assert kind == "line"
-        assert json.loads(ack) == {"kind": "hello", "framing": "lp1"}
-        lp = await _read_frames_until(frames, "commit")
+        lp = await _read_frames_until(FrameReader(reader), "commit")
         writer.close()
         await writer.wait_closed()
         return nd, lp
@@ -195,27 +191,10 @@ def test_lp1_and_ndjson_clients_get_identical_payloads(directions_recognizer):
     ]
 
 
-def test_ndjson_hello_acks_and_stays_ndjson(directions_recognizer):
+def test_hello_is_an_unknown_op_connection_survives(directions_recognizer):
     async def scenario(host, port):
         reader, writer = await asyncio.open_connection(host, port)
-        writer.write((encode_hello("ndjson") + "\n").encode())
-        for payload in _gesture_payloads("s"):
-            writer.write(payload + b"\n")
-        await writer.drain()
-        replies = await _read_lines_until(reader, "commit")
-        writer.close()
-        await writer.wait_closed()
-        return replies
-
-    replies = _with_server(scenario, directions_recognizer)
-    assert json.loads(replies[0]) == {"kind": "hello", "framing": "ndjson"}
-    assert json.loads(replies[-1])["kind"] == "commit"
-
-
-def test_unknown_framing_is_refused_connection_survives(directions_recognizer):
-    async def scenario(host, port):
-        reader, writer = await asyncio.open_connection(host, port)
-        writer.write(b'{"op": "hello", "framing": "zz"}\n')
+        writer.write(b'{"op": "hello", "framing": "lp1"}\n')
         for payload in _gesture_payloads("s"):
             writer.write(payload + b"\n")
         await writer.drain()
@@ -227,70 +206,24 @@ def test_unknown_framing_is_refused_connection_survives(directions_recognizer):
     replies = _with_server(scenario, directions_recognizer)
     first = json.loads(replies[0])
     assert first["kind"] == "error"
-    assert first["reason"] == "unknown framing: 'zz'"
-    assert json.loads(replies[-1])["kind"] == "commit"
-
-
-def test_lp1_refused_when_disabled(directions_recognizer):
-    async def scenario(host, port):
-        reader, writer = await asyncio.open_connection(host, port)
-        writer.write((encode_hello("lp1") + "\n").encode())
-        for payload in _gesture_payloads("s"):
-            writer.write(payload + b"\n")
-        await writer.drain()
-        replies = await _read_lines_until(reader, "commit")
-        writer.close()
-        await writer.wait_closed()
-        return replies
-
-    replies = _with_server(scenario, directions_recognizer, allow_lp1=False)
-    first = json.loads(replies[0])
-    assert first["kind"] == "error"
-    assert first["reason"] == "framing lp1 unsupported"
-    assert json.loads(replies[-1])["kind"] == "commit"
-
-
-def test_late_hello_is_rejected_framing_unchanged(directions_recognizer):
-    async def scenario(host, port):
-        reader, writer = await asyncio.open_connection(host, port)
-        payloads = _gesture_payloads("s")
-        writer.write(payloads[0] + b"\n")
-        # Mid-connection renegotiation attempt: must be refused, and the
-        # connection must continue in NDJSON.
-        writer.write((encode_hello("lp1") + "\n").encode())
-        for payload in payloads[1:]:
-            writer.write(payload + b"\n")
-        await writer.drain()
-        replies = await _read_lines_until(reader, "commit")
-        writer.close()
-        await writer.wait_closed()
-        return replies
-
-    replies = _with_server(scenario, directions_recognizer)
-    errors = [json.loads(r) for r in replies if json.loads(r)["kind"] == "error"]
-    assert len(errors) == 1
-    assert errors[0]["reason"] == (
-        "late hello: framing is negotiated on the first line"
-    )
+    assert first["reason"] == "unknown op: 'hello'"
     assert json.loads(replies[-1])["kind"] == "commit"
 
 
 def test_damaged_frames_get_errors_connection_survives(directions_recognizer):
     async def scenario(host, port):
         reader, writer = await asyncio.open_connection(host, port)
-        writer.write((encode_hello("lp1") + "\n").encode())
-        await writer.drain()
-        frames = FrameReader(reader)
-        kind, ack = await frames.next()
-        assert json.loads(ack)["framing"] == "lp1"
-        # Garbage where a magic byte should be...
+        payloads = _gesture_payloads("ok")
+        # A healthy first frame makes this an lp1 connection...
+        writer.write(encode_frame(payloads[0]))
+        # ...then garbage where a magic byte should be...
         writer.write(b"GARBAGE BYTES")
         # ...then an oversized frame (past the server's max_frame)...
         writer.write(b"\xa7" + (200).to_bytes(4, "big") + b"z" * 200)
-        # ...then a healthy gesture.
-        writer.write(encode_frames(_gesture_payloads("ok")))
+        # ...then the rest of the gesture.
+        writer.write(encode_frames(payloads[1:]))
         await writer.drain()
-        replies = await _read_frames_until(frames, "commit")
+        replies = await _read_frames_until(FrameReader(reader), "commit")
         writer.close()
         await writer.wait_closed()
         return replies
@@ -303,13 +236,10 @@ def test_damaged_frames_get_errors_connection_survives(directions_recognizer):
 
 def test_truncated_lp1_client_does_not_wedge_the_server(directions_recognizer):
     async def scenario(host, port):
-        # First client negotiates lp1 and dies mid-frame.
+        # First client dies mid-way through its very first frame.
         reader, writer = await asyncio.open_connection(host, port)
-        writer.write((encode_hello("lp1") + "\n").encode())
         writer.write(encode_frame(b'{"op": "tick", "t": 1}')[:-3])
         await writer.drain()
-        frames = FrameReader(reader)
-        await frames.next()  # the hello ack
         writer.close()
         await writer.wait_closed()
         # The server must still serve a fresh connection.
@@ -324,48 +254,3 @@ def test_truncated_lp1_client_does_not_wedge_the_server(directions_recognizer):
 
     replies = _with_server(scenario, directions_recognizer)
     assert json.loads(replies[-1])["kind"] == "commit"
-
-
-# -- mixed-fleet interop ---------------------------------------------------
-
-
-def test_mixed_fleet_is_byte_identical_at_the_client(gdp_recognizer):
-    from repro.cluster import workload_ticks
-    from repro.serve import generate_workload
-    from repro.synth import gdp_templates
-
-    from tests.cluster.inproc import (
-        InProcessCluster,
-        drive_script,
-        reference_script,
-    )
-    from tests.cluster.test_cluster import DT, assert_byte_identical, end_time
-
-    workload = generate_workload(
-        gdp_templates(), clients=4, gestures_per_client=1, seed=5
-    )
-    ticks = workload_ticks(workload, dt=DT)
-    end_t = end_time(ticks)
-    script = [("ops", t, group) for t, group in ticks]
-    script = [item for pair in zip(script, [("tick", t) for t, _ in ticks]) for item in pair]
-    script += [("tick", end_t), ("sweep", 0.0)]
-    expected = reference_script(gdp_recognizer, script)
-
-    def run(framing, no_lp1_shards=()):
-        async def go():
-            async with InProcessCluster(
-                gdp_recognizer,
-                3,
-                framing=framing,
-                no_lp1_shards=no_lp1_shards,
-            ) as cluster:
-                return await drive_script(cluster, script)
-
-        return asyncio.run(go())
-
-    for replies in (
-        run("lp1"),
-        run("ndjson"),
-        run("lp1", no_lp1_shards=("w1",)),  # mixed: w1 falls back
-    ):
-        assert_byte_identical(replies, expected)

@@ -68,6 +68,24 @@ class TestLifecycle:
         # The session survives the decision, in its manipulation phase.
         assert "s1" in pool
 
+    def test_expire_times_out_one_session_without_moving_the_clock(self, pool):
+        # A warm pool whose clock already stands past a session's
+        # deadline: expire judges the session at its own marker, not at
+        # the pool clock, and leaves every other session alone.
+        pool.down("old", 0.0, 0.0, 0.0)
+        pool.advance_to(0.5)
+        points = _square_points(2)
+        for i, (x, y, t) in enumerate(points):
+            (pool.down if i == 0 else pool.move)("s1", x, y, t)
+        last_t = points[-1][2]
+        assert pool.expire("s1", last_t + pool.timeout * 0.99) == []
+        (fired,) = pool.expire("s1", last_t + pool.timeout)
+        assert (fired.key, fired.reason) == ("s1", "timeout")
+        assert fired.points_seen == 2
+        assert fired.t == pytest.approx(last_t + pool.timeout)
+        assert pool.clock.now == 0.5
+        assert pool.expire("s1", 9.0) == []  # decided: nothing left to fire
+
     def test_manipulation_phase_is_silent_then_commits(self, pool):
         points = _square_points(4)
         for i, (x, y, t) in enumerate(points):
