@@ -125,7 +125,7 @@ def test_cluster_numbers(cluster_bench):
     # there is no router stage.
     async def baseline():
         proc = await asyncio.create_subprocess_exec(
-            *worker_command(path, "baseline", timeout=DEFAULT_TIMEOUT),
+            *worker_command(path, "baseline"),
             env=worker_env(),
             stdout=asyncio.subprocess.PIPE,
             stderr=asyncio.subprocess.DEVNULL,
@@ -155,9 +155,7 @@ def test_cluster_numbers(cluster_bench):
     for n in WORKER_COUNTS:
 
         async def run(workers=n):
-            async with Cluster(
-                path, workers=workers, timeout=DEFAULT_TIMEOUT
-            ) as cluster:
+            async with Cluster(path, workers=workers) as cluster:
                 await cluster.wait_all_up()
                 host, port = cluster.address
                 return await _timed_drive(host, port, ticks, end_t)
@@ -181,7 +179,7 @@ def test_cluster_numbers(cluster_bench):
     # Crash recovery: SIGKILL one of two workers, time until the
     # replacement is respawned, reconnected, and its replay enqueued.
     async def recovery():
-        async with Cluster(path, workers=2, timeout=DEFAULT_TIMEOUT) as cluster:
+        async with Cluster(path, workers=2) as cluster:
             await cluster.wait_all_up()
             ups = cluster.router.links["w0"].ups
             start = time.perf_counter()

@@ -109,7 +109,6 @@ def test_elastic_numbers(tmp_path_factory):
         async with Cluster(
             path,
             workers=WORKERS_BEFORE,
-            timeout=DEFAULT_TIMEOUT,
             min_workers=1,
             max_workers=WORKERS_AFTER,
         ) as cluster:

@@ -53,6 +53,7 @@ import sys
 from .datasets import GestureSet
 from .eager import EagerRecognizer, train_eager_recognizer
 from .evaluate import figure9_grid, run_experiment
+from .serve.options import ServeOptions
 from .synth import FAMILY_NAMES, GestureGenerator, family_templates, gdp_templates
 
 __all__ = ["main"]
@@ -277,56 +278,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     from contextlib import ExitStack
 
-    from .obs import (
-        MetricsRegistry,
-        PerfProfiler,
-        PoolObserver,
-        QualityMonitor,
-        Tracer,
-    )
-    from .serve import GestureServer
+    from .obs import PerfProfiler, Tracer
 
+    options = ServeOptions.from_args(args)
     recognizer = _resolve_recognizer(args)
-    if args.model_cache is not None and not args.registry:
-        raise SystemExit("--model-cache needs --registry to reload from")
     with ExitStack() as stack:
-        metrics = None if args.no_metrics else MetricsRegistry()
         tracer = None
         if args.trace:
             tracer = Tracer(stream=stack.enter_context(open(args.trace, "w")))
-        quality = (
-            QualityMonitor(
-                recognizer,
-                metrics=metrics,
-                tracer=tracer,
-                sample=args.quality_sample,
-                sample_seed=args.quality_seed,
-            )
-            if args.quality
-            else None
-        )
-        profiler = PerfProfiler() if args.profile else None
-        observer = (
-            PoolObserver(
-                metrics=metrics,
-                tracer=tracer,
-                quality=quality,
-                profiler=profiler,
-            )
-            if any(x is not None for x in (metrics, tracer, quality, profiler))
-            else None
+        observer = options.observer(
+            recognizer,
+            tracer=tracer,
+            profiler=PerfProfiler() if args.profile else None,
         )
 
         async def run() -> None:
-            server = GestureServer(
+            server = options.server(
                 recognizer,
+                observer,
                 host=args.host,
                 port=args.port,
-                timeout=args.timeout,
-                max_sessions=args.max_sessions,
-                observer=observer,
-                registry=args.registry,
-                model_cache=args.model_cache,
                 record=args.record,
             )
             await server.start()
@@ -355,6 +326,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     from .cluster import Cluster
 
+    # Bad flag combinations fail here, before any worker spawns.
+    options = ServeOptions.from_args(args, workers=True)
     # Workers are subprocesses: they load the model from a file.  A
     # --recognizer path is handed straight to them; any other source is
     # resolved here and saved to a temp file for the workers to share.
@@ -375,17 +348,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 host=args.host,
                 port=args.port,
-                timeout=args.timeout,
-                max_sessions=args.max_sessions,
-                metrics=not args.no_metrics,
-                registry=args.registry,
-                quality=args.quality,
-                quality_sample=args.quality_sample,
-                quality_seed=args.quality_seed,
+                options=options,
                 min_workers=args.min_workers,
                 max_workers=args.max_workers,
                 autoscale=args.autoscale,
-                model_cache=args.model_cache,
             ) as cluster:
                 await cluster.wait_all_up()
                 host, port = cluster.address
@@ -453,51 +419,39 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     for name, value in metrics.get("counters", {}).items():
         print(f"  {name:<28} {value}")
     print("\nhistograms:")
-    for name, h in metrics.get("histograms", {}).items():
+    _print_histograms(metrics.get("histograms", {}))
+    _print_quality(metrics.get("histograms", {}))
+    if payload.get("profile"):
+        _print_profile(payload["profile"])
+    return 0
+
+
+def _print_histograms(histograms: dict) -> None:
+    """One ``count= mean= min= max=`` line per histogram, by name."""
+    for name, h in sorted(histograms.items()):
         count = h["count"]
         mean = h["sum"] / count if count else 0.0
         print(
             f"  {name:<28} count={count} mean={mean:.2f} "
             f"min={h['min']} max={h['max']}"
         )
-    rows = _quality_rows(metrics.get("histograms", {}))
-    if rows:
-        print("\nquality (fleet-wide, per class):")
-        for cls, count, margin, drift in rows:
-            print(
-                f"  {cls:<20} n={count} margin_mean={margin:.3f} "
-                f"drift={drift:.3f}"
-            )
-    profile = payload.get("profile")
-    if profile:
-        print("\nprofile (wall-clock):")
-        for name, p in profile.items():
-            per_unit = (
-                f" {p['us_per_unit']:.2f}us/unit"
-                if p.get("us_per_unit") is not None
-                else ""
-            )
-            print(
-                f"  {name:<28} calls={p['count']} "
-                f"mean={p['mean_us']:.1f}us{per_unit}"
-            )
-    return 0
 
 
-def _quality_rows(histograms: dict) -> list[tuple[str, int, float, float]]:
-    """Per-class ``(name, count, margin_mean, drift)`` rows from merged
-    ``quality.*`` histograms — the fleet-wide view, since
-    ``merge_snapshots`` sums the per-worker sums and counts.  Drift is
-    the Rubine rejection statistic mean d²/F (see QualityMonitor).
+def _print_quality(histograms: dict) -> None:
+    """The per-class table from merged ``quality.*`` histograms — the
+    fleet-wide view, since ``merge_snapshots`` sums the per-worker sums
+    and counts.  Drift is the Rubine rejection statistic mean d²/F (see
+    QualityMonitor).  Prints nothing without quality histograms.
     """
     from .features import NUM_FEATURES
 
-    rows = []
     prefix = "quality.margin."
-    for name, h in sorted(histograms.items()):
-        if not name.startswith(prefix):
-            continue
+    names = [name for name in sorted(histograms) if name.startswith(prefix)]
+    if names:
+        print("\nquality (fleet-wide, per class):")
+    for name in names:
         cls = name[len(prefix):]
+        h = histograms[name]
         count = h["count"]
         margin = h["sum"] / count if count else 0.0
         maha = histograms.get(f"quality.mahal_sq.{cls}")
@@ -506,8 +460,25 @@ def _quality_rows(histograms: dict) -> list[tuple[str, int, float, float]]:
             if maha and maha["count"]
             else 0.0
         )
-        rows.append((cls, count, margin, drift))
-    return rows
+        print(
+            f"  {cls:<20} n={count} margin_mean={margin:.3f} "
+            f"drift={drift:.3f}"
+        )
+
+
+def _print_profile(profile: dict) -> None:
+    """The wall-clock section table of a profiler summary."""
+    print("\nprofile (wall-clock):")
+    for name, p in profile.items():
+        per_unit = (
+            f" {p['us_per_unit']:.2f}us/unit"
+            if p.get("us_per_unit") is not None
+            else ""
+        )
+        print(
+            f"  {name:<28} calls={p['count']} "
+            f"mean={p['mean_us']:.1f}us{per_unit}"
+        )
 
 
 def _print_snapshot(snapshot: dict) -> None:
@@ -519,13 +490,7 @@ def _print_snapshot(snapshot: dict) -> None:
     histograms = snapshot.get("histograms", {})
     if histograms:
         print("\nmetrics histograms:")
-        for name, h in sorted(histograms.items()):
-            count = h["count"]
-            mean = h["sum"] / count if count else 0.0
-            print(
-                f"  {name:<28} count={count} mean={mean:.2f} "
-                f"min={h['min']} max={h['max']}"
-            )
+        _print_histograms(histograms)
 
 
 def _loadgen_cluster(args: argparse.Namespace, recognizer, workload) -> int:
@@ -542,7 +507,6 @@ def _loadgen_cluster(args: argparse.Namespace, recognizer, workload) -> int:
     import time
 
     from .cluster import Cluster, drive_cluster, reference_lines, workload_ticks
-    from .interaction import DEFAULT_TIMEOUT
 
     if args.trace or args.profile or args.metrics_out:
         raise SystemExit(
@@ -552,6 +516,7 @@ def _loadgen_cluster(args: argparse.Namespace, recognizer, workload) -> int:
             "(print it with --metrics; --quality rides along — every "
             "worker scores its own shard)"
         )
+    options = ServeOptions.from_args(args)
     dt = 0.01
     if args.fault_seed is not None:
         # Ground truth comes from the fault machinery itself: run the
@@ -576,9 +541,9 @@ def _loadgen_cluster(args: argparse.Namespace, recognizer, workload) -> int:
         )
     else:
         ticks = workload_ticks(workload, dt=dt)
-        end_t = len(ticks) * dt + DEFAULT_TIMEOUT + dt
+        end_t = len(ticks) * dt + options.timeout + dt
     reference = reference_lines(
-        recognizer, ticks, end_t=end_t, timeout=DEFAULT_TIMEOUT
+        recognizer, ticks, end_t=end_t, timeout=options.timeout
     )
     points = sum(len(group) for _, group in ticks)
 
@@ -587,12 +552,7 @@ def _loadgen_cluster(args: argparse.Namespace, recognizer, workload) -> int:
             path = os.path.join(tmp, "recognizer.json")
             recognizer.save(path)
             async with Cluster(
-                path,
-                workers=args.cluster,
-                timeout=DEFAULT_TIMEOUT,
-                quality=args.quality,
-                quality_sample=args.quality_sample,
-                quality_seed=args.quality_seed,
+                path, workers=args.cluster, options=options
             ) as cluster:
                 await cluster.wait_all_up()
                 host, port = cluster.address
@@ -625,14 +585,7 @@ def _loadgen_cluster(args: argparse.Namespace, recognizer, workload) -> int:
     if args.metrics and stats and stats.get("metrics"):
         _print_snapshot(stats["metrics"])
     if args.quality and stats and stats.get("metrics"):
-        rows = _quality_rows(stats["metrics"].get("histograms", {}))
-        if rows:
-            print("\nquality (fleet-wide, per class):")
-            for cls, count, margin, drift in rows:
-                print(
-                    f"  {cls:<20} n={count} margin_mean={margin:.3f} "
-                    f"drift={drift:.3f}"
-                )
+        _print_quality(stats["metrics"].get("histograms", {}))
     return 0
 
 
@@ -808,32 +761,17 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 "--metrics/--trace/--quality/--profile need a single pool "
                 "to observe; use --mode batched or --mode sequential"
             )
-        from .obs import (
-            MetricsRegistry,
-            PerfProfiler,
-            PoolObserver,
-            QualityMonitor,
-            Tracer,
-        )
+        from dataclasses import replace
 
-        metrics = (
-            MetricsRegistry() if args.metrics or args.metrics_out else None
+        from .obs import PerfProfiler, Tracer
+
+        options = replace(
+            ServeOptions.from_args(args),
+            metrics=bool(args.metrics or args.metrics_out),
         )
-        tracer = Tracer() if args.trace else None
-        observer = PoolObserver(
-            metrics=metrics,
-            tracer=tracer,
-            quality=(
-                QualityMonitor(
-                    recognizer,
-                    metrics=metrics,
-                    tracer=tracer,
-                    sample=args.quality_sample,
-                    sample_seed=args.quality_seed,
-                )
-                if args.quality
-                else None
-            ),
+        observer = options.observer(
+            recognizer,
+            tracer=Tracer() if args.trace else None,
             profiler=PerfProfiler() if args.profile else None,
         )
     if args.mode == "both":
@@ -880,17 +818,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         if args.metrics and result.metrics is not None:
             _print_snapshot(result.metrics)
         if result.profile is not None:
-            print("\nprofile (wall-clock):")
-            for name, p in result.profile.items():
-                per_unit = (
-                    f" {p['us_per_unit']:.2f}us/unit"
-                    if p.get("us_per_unit") is not None
-                    else ""
-                )
-                print(
-                    f"  {name:<28} calls={p['count']} "
-                    f"mean={p['mean_us']:.1f}us{per_unit}"
-                )
+            _print_profile(result.profile)
     return 0
 
 
@@ -1030,18 +958,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_quality_sample_flags(parser) -> None:
-    """The sampling knobs shared by every --quality-capable command."""
+def _add_service_arguments(parser, port: int) -> None:
+    """The model-source, address and serving flags of serve and cluster."""
+    parser.add_argument("--recognizer", help="saved recognizer JSON")
+    parser.add_argument("--model", help="registry model as NAME[@VERSION]")
     parser.add_argument(
-        "--quality-sample", type=float, default=1.0, metavar="RATE",
-        help="score a deterministic fraction of sessions, keyed on the "
-        "session id (default 1.0 = every session; replay-stable)",
+        "--family", help="train on a synthetic family at startup"
     )
-    parser.add_argument(
-        "--quality-seed", type=int, default=0, metavar="N",
-        help="seed for the sampling hash (same seed => same sampled "
-        "set, fleet-wide and across restarts)",
-    )
+    parser.add_argument("--examples", type=int, default=15)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=port)
+    ServeOptions.add_arguments(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1131,35 +1059,11 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(func=_cmd_demo)
 
     serve = sub.add_parser("serve", help="run the recognition service")
-    serve.add_argument("--recognizer", help="saved recognizer JSON")
-    serve.add_argument("--registry", help="model-registry directory")
-    serve.add_argument("--model", help="registry model as NAME[@VERSION]")
-    serve.add_argument(
-        "--family", help="train on a synthetic family at startup"
-    )
-    serve.add_argument("--examples", type=int, default=15)
-    serve.add_argument("--seed", type=int, default=7)
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=7391)
-    serve.add_argument(
-        "--timeout", type=float, default=0.2,
-        help="motionless timeout in (virtual) seconds",
-    )
-    serve.add_argument("--max-sessions", type=int, default=4096)
-    serve.add_argument(
-        "--no-metrics", action="store_true",
-        help="disable the metrics registry (stats replies carry null)",
-    )
+    _add_service_arguments(serve, port=7391)
     serve.add_argument(
         "--trace", metavar="PATH",
         help="stream NDJSON trace records (spans/events) to this file",
     )
-    serve.add_argument(
-        "--quality", action="store_true",
-        help="attach recognition-quality telemetry (margins, rejection "
-        "distances, eagerness, drift)",
-    )
-    _add_quality_sample_flags(serve)
     serve.add_argument(
         "--profile", action="store_true",
         help="time the serving hot path with perf counters "
@@ -1170,37 +1074,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="journal the live op traffic to PATH as adapt-harvest "
         "NDJSON records (replayable by `repro adapt --record`)",
     )
-    serve.add_argument(
-        "--model-cache", type=int, metavar="N",
-        help="keep at most N swapped-in models resident per pool (LRU; "
-        "evicted models reload from --registry on next use)",
-    )
     serve.set_defaults(func=_cmd_serve)
 
     cluster = sub.add_parser(
         "cluster",
         help="run the sharded service: router + N supervised workers",
     )
-    cluster.add_argument("--recognizer", help="saved recognizer JSON")
-    cluster.add_argument("--registry", help="model-registry directory")
-    cluster.add_argument("--model", help="registry model as NAME[@VERSION]")
-    cluster.add_argument(
-        "--family", help="train on a synthetic family at startup"
-    )
-    cluster.add_argument("--examples", type=int, default=15)
-    cluster.add_argument("--seed", type=int, default=7)
+    _add_service_arguments(cluster, port=7392)
     cluster.add_argument(
         "--workers", type=int, default=2, metavar="N",
         help="worker processes; sessions are consistent-hashed across "
         "them and replies are byte-identical for any N",
     )
-    cluster.add_argument("--host", default="127.0.0.1")
-    cluster.add_argument("--port", type=int, default=7392)
-    cluster.add_argument(
-        "--timeout", type=float, default=0.2,
-        help="motionless timeout in (virtual) seconds",
-    )
-    cluster.add_argument("--max-sessions", type=int, default=4096)
     cluster.add_argument(
         "--min-workers", type=int, default=1, metavar="N",
         help="floor for admin scale ops and the autoscaler",
@@ -1216,21 +1101,6 @@ def build_parser() -> argparse.ArgumentParser:
         "hysteresis and a cooldown; joins and drains migrate live "
         "sessions, so clients never notice",
     )
-    cluster.add_argument(
-        "--model-cache", type=int, metavar="N",
-        help="bound each worker's resident swapped-in models to N (LRU; "
-        "evicted models reload from --registry on next use)",
-    )
-    cluster.add_argument(
-        "--no-metrics", action="store_true",
-        help="disable worker metrics (fleet stats replies carry null)",
-    )
-    cluster.add_argument(
-        "--quality", action="store_true",
-        help="attach recognition-quality telemetry on every worker; "
-        "`stats` replies merge the quality.* histograms fleet-wide",
-    )
-    _add_quality_sample_flags(cluster)
     cluster.set_defaults(func=_cmd_cluster)
 
     stats = sub.add_parser(
@@ -1284,13 +1154,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", metavar="PATH",
         help="record an NDJSON trace of the run (single-mode runs only)",
     )
-    loadgen.add_argument(
-        "--quality", action="store_true",
-        help="attach recognition-quality telemetry (adds quality records "
-        "to the trace and quality.* metrics; with --cluster, every "
-        "worker scores its own shard and stats merges them)",
+    ServeOptions.add_arguments(
+        loadgen, ("quality", "quality_sample", "quality_seed")
     )
-    _add_quality_sample_flags(loadgen)
     loadgen.add_argument(
         "--profile", action="store_true",
         help="time the serving hot path and print the section summary",

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 
-__all__ = ["OP_LINE", "parse_op_line", "splice_reply"]
+__all__ = ["OP_LINE", "splice_reply"]
 
 # The JSON number grammar (RFC 8259): optional minus, no leading zeros,
 # optional fraction, optional signed exponent.
@@ -54,22 +54,6 @@ OP_LINE = re.compile(
 )
 
 _REPLY = re.compile('\\{"kind": "(recog|manip|commit|evict)", "stroke": "(%s)", ' % _VALUE)
-
-
-def parse_op_line(line: str):
-    """Parse one canonical session-op line without building a dict.
-
-    Returns ``(op, stroke, t, vstart)`` — ``vstart`` is the offset of
-    the stroke value, where the caller splices in its ``client:``
-    namespace prefix — or ``None`` when the line is anything other than
-    a canonical ``down``/``move``/``up`` (the caller must then take the
-    legacy parse-validate-reencode path).
-    """
-    m = OP_LINE.match(line)
-    if m is None:
-        return None
-    op, stroke, t = m.group(1, 2, 3)
-    return op, stroke, float(t), m.start(2)
 
 
 def splice_reply(raw: str):

@@ -36,7 +36,7 @@ import json
 from contextlib import suppress
 
 from ..interaction import DEFAULT_TIMEOUT
-from ..serve import SessionPool, encode_decision
+from ..serve import SessionPool, ServeOptions, encode_decision
 from .router import Router
 from .supervisor import Supervisor
 
@@ -58,20 +58,13 @@ class Cluster:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        timeout: float | None = None,
-        max_sessions: int = 4096,
+        options: ServeOptions = ServeOptions(),
         heartbeat: float = 0.5,
         backoff_base: float = 0.05,
-        metrics: bool = True,
         shard_names=None,
-        registry=None,
-        quality: bool = False,
-        quality_sample: float = 1.0,
-        quality_seed: int = 0,
         min_workers: int = 1,
         max_workers: int | None = None,
         autoscale=False,
-        model_cache: int | None = None,
     ):
         from ..obs import MetricsRegistry
 
@@ -80,7 +73,7 @@ class Cluster:
             if shard_names is not None
             else tuple(f"w{i}" for i in range(workers))
         )
-        self.metrics = MetricsRegistry() if metrics else None
+        self.metrics = MetricsRegistry() if options.metrics else None
         if min_workers < 1:
             raise ValueError("min_workers must be >= 1")
         if max_workers is not None and max_workers < min_workers:
@@ -94,22 +87,20 @@ class Cluster:
         self._scale_lock = asyncio.Lock()
         self._next_worker = len(shards)
         self.router = Router(
-            shards, host=host, port=port, metrics=self.metrics, registry=registry
+            shards,
+            host=host,
+            port=port,
+            metrics=self.metrics,
+            registry=options.registry,
         )
         self.supervisor = Supervisor(
             recognizer_path,
             shards,
-            timeout=timeout,
-            max_sessions=max_sessions,
+            options,
             heartbeat=heartbeat,
             backoff_base=backoff_base,
             on_up=self.router.worker_up,
             on_down=self.router.worker_down,
-            registry=registry,
-            quality=quality,
-            quality_sample=quality_sample,
-            quality_seed=quality_seed,
-            model_cache=model_cache,
         )
         self.router.drain_hook = self.drain
         self.router.scale_hook = self.scale_to

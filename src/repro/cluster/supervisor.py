@@ -24,6 +24,7 @@ import json
 import signal
 from contextlib import suppress
 
+from ..serve.options import ServeOptions
 from .worker import DEFAULT_HEARTBEAT, worker_command, worker_env
 
 __all__ = ["Supervisor", "WorkerHandle"]
@@ -69,9 +70,8 @@ class Supervisor:
         self,
         recognizer_path: str,
         shards,
+        options: ServeOptions = ServeOptions(),
         *,
-        timeout: float | None = None,
-        max_sessions: int = 4096,
         heartbeat: float = DEFAULT_HEARTBEAT,
         heartbeat_timeout: float | None = None,
         backoff_base: float = 0.05,
@@ -79,25 +79,16 @@ class Supervisor:
         healthy_after: float = 5.0,
         on_up=None,
         on_down=None,
-        registry=None,
-        quality: bool = False,
-        quality_sample: float = 1.0,
-        quality_seed: int = 0,
-        model_cache: int | None = None,
     ):
+        # Rejected here, before any spawn: a worker that exits on a bad
+        # flag would otherwise be respawned forever.
+        options.check_workers()
         self.recognizer_path = str(recognizer_path)
-        self.model_cache = model_cache
-        self.registry = None if registry is None else str(registry)
-        # Quality telemetry flags, replicated to every worker (and to
-        # every restart of one): the sampling hash is keyed on the
-        # session id alone, so a respawned worker re-makes the exact
-        # sampling choices its predecessor made.
-        self.quality = quality
-        self.quality_sample = quality_sample
-        self.quality_seed = quality_seed
+        # Replicated to every worker and every restart of one: the
+        # quality sampling hash is keyed on the session id alone, so a
+        # respawned worker re-makes its predecessor's sampling choices.
+        self.options = options
         self.shards = tuple(shards)
-        self.timeout = timeout
-        self.max_sessions = max_sessions
         self.heartbeat = heartbeat
         self.heartbeat_timeout = (
             heartbeat_timeout if heartbeat_timeout is not None else 5 * heartbeat
@@ -180,23 +171,17 @@ class Supervisor:
             with suppress(ProcessLookupError):
                 handle.proc.terminate()
 
+    def command(self, shard: str) -> list[str]:
+        """The argv that spawns ``shard``'s worker, and every respawn."""
+        return worker_command(
+            self.recognizer_path, shard, self.options, heartbeat=self.heartbeat
+        )
+
     async def _spawn(self, shard: str) -> None:
         handle = self.workers[shard]
-        cmd = worker_command(
-            self.recognizer_path,
-            shard,
-            timeout=self.timeout,
-            max_sessions=self.max_sessions,
-            heartbeat=self.heartbeat,
-            registry=self.registry,
-            quality=self.quality,
-            quality_sample=self.quality_sample,
-            quality_seed=self.quality_seed,
-            model_cache=self.model_cache,
-        )
         loop = asyncio.get_running_loop()
         handle.proc = await asyncio.create_subprocess_exec(
-            *cmd,
+            *self.command(shard),
             stdout=asyncio.subprocess.PIPE,
             stderr=asyncio.subprocess.DEVNULL,
             env=worker_env(),

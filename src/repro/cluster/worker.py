@@ -32,7 +32,9 @@ import signal
 import sys
 from pathlib import Path
 
-__all__ = ["main", "worker_command"]
+from ..serve.options import ServeOptions
+
+__all__ = ["build_parser", "main", "worker_command"]
 
 DEFAULT_HEARTBEAT = 2.0
 
@@ -40,21 +42,12 @@ DEFAULT_HEARTBEAT = 2.0
 def worker_command(
     recognizer: str,
     shard: str,
+    options: ServeOptions = ServeOptions(),
     *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    timeout: float | None = None,
-    max_sessions: int = 4096,
     heartbeat: float = DEFAULT_HEARTBEAT,
-    metrics: bool = True,
-    registry: str | None = None,
-    quality: bool = False,
-    quality_sample: float = 1.0,
-    quality_seed: int = 0,
-    model_cache: int | None = None,
 ) -> list[str]:
-    """The argv the supervisor spawns for one worker."""
-    cmd = [
+    """The argv the supervisor spawns for one worker (on a free port)."""
+    return [
         sys.executable,
         "-m",
         "repro.cluster.worker",
@@ -62,30 +55,10 @@ def worker_command(
         str(recognizer),
         "--shard",
         shard,
-        "--host",
-        host,
-        "--port",
-        str(port),
-        "--max-sessions",
-        str(max_sessions),
         "--heartbeat",
         str(heartbeat),
+        *options.argv(),
     ]
-    if timeout is not None:
-        cmd += ["--timeout", str(timeout)]
-    if not metrics:
-        cmd.append("--no-metrics")
-    if registry is not None:
-        cmd += ["--registry", str(registry)]
-    if model_cache is not None:
-        cmd += ["--model-cache", str(model_cache)]
-    if quality:
-        cmd.append("--quality")
-        if quality_sample != 1.0:
-            cmd += ["--quality-sample", str(quality_sample)]
-        if quality_seed != 0:
-            cmd += ["--quality-seed", str(quality_seed)]
-    return cmd
 
 
 def worker_env() -> dict:
@@ -97,41 +70,12 @@ def worker_env() -> dict:
     return env
 
 
-async def _amain(args: argparse.Namespace) -> int:
+async def _amain(args: argparse.Namespace, options: ServeOptions) -> int:
     from ..eager import EagerRecognizer
-    from ..interaction import DEFAULT_TIMEOUT
-    from ..obs import MetricsRegistry, PoolObserver, QualityMonitor
-    from ..serve import GestureServer
 
     recognizer = EagerRecognizer.load(args.recognizer)
-    if args.no_metrics:
-        observer = None
-    else:
-        metrics = MetricsRegistry()
-        # Quality telemetry stays deferred (no tracer in a worker): the
-        # monitor stages raw snapshots and its registry collector hook
-        # folds them in whenever a stats request snapshots the metrics,
-        # so fleet-wide merges always see fully accounted numbers.
-        quality = (
-            QualityMonitor(
-                recognizer,
-                metrics=metrics,
-                sample=args.quality_sample,
-                sample_seed=args.quality_seed,
-            )
-            if args.quality
-            else None
-        )
-        observer = PoolObserver(metrics=metrics, quality=quality)
-    server = GestureServer(
-        recognizer,
-        host=args.host,
-        port=args.port,
-        timeout=args.timeout if args.timeout is not None else DEFAULT_TIMEOUT,
-        max_sessions=args.max_sessions,
-        observer=observer,
-        registry=args.registry,
-        model_cache=args.model_cache,
+    server = options.server(
+        recognizer, options.observer(recognizer), host=args.host, port=args.port
     )
     await server.start()
     host, port = server.address
@@ -170,7 +114,7 @@ async def _amain(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.cluster.worker",
         description="one shard of the gesture-recognition cluster",
@@ -179,52 +123,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--shard", required=True, help="this worker's shard name")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0, help="0 picks a free port")
-    parser.add_argument("--timeout", type=float, default=None)
-    parser.add_argument("--max-sessions", type=int, default=4096)
     parser.add_argument("--heartbeat", type=float, default=DEFAULT_HEARTBEAT)
-    parser.add_argument("--no-metrics", action="store_true")
-    parser.add_argument(
-        "--registry",
-        default=None,
-        help="model registry directory enabling swap ops",
-    )
-    parser.add_argument(
-        "--model-cache",
-        type=int,
-        default=None,
-        metavar="N",
-        help="bound swapped-in models resident per pool to N, LRU-"
-        "evicted and reloaded from the registry on next use",
-    )
-    parser.add_argument(
-        "--quality",
-        action="store_true",
-        help="attach recognition-quality telemetry (quality.* metrics, "
-        "merged fleet-wide by the router's stats reply)",
-    )
-    parser.add_argument(
-        "--quality-sample",
-        type=float,
-        default=1.0,
-        metavar="RATE",
-        help="score a deterministic fraction of sessions, keyed on the "
-        "session id (default 1.0 = every session)",
-    )
-    parser.add_argument(
-        "--quality-seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="seed for the sampling hash (same seed fleet-wide => "
-        "same sampled set on every worker)",
-    )
-    args = parser.parse_args(argv)
-    if args.quality and args.no_metrics:
-        parser.error("--quality needs metrics; drop --no-metrics")
-    if args.model_cache is not None and args.registry is None:
-        parser.error("--model-cache needs --registry to reload from")
+    ServeOptions.add_arguments(parser)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    options = ServeOptions.from_args(args, workers=True)
     try:
-        return asyncio.run(_amain(args))
+        return asyncio.run(_amain(args, options))
     except KeyboardInterrupt:
         return 0
 

@@ -17,6 +17,8 @@ multi-tenant streaming service:
   trained recognizers;
 * :class:`GestureServer` — an asyncio front end speaking
   newline-delimited JSON over TCP, plus the same API in-process;
+* :class:`ServeOptions` — the serving flags, declared once for
+  ``repro serve``, ``repro cluster`` and the cluster worker;
 * :mod:`repro.serve.loadgen` — the load harness behind
   ``benchmarks/bench_serve_throughput.py`` and ``repro-gestures loadgen``.
 """
@@ -49,6 +51,7 @@ from .protocol import (
     encode_stats,
     encode_swap,
 )
+from .options import ServeOptions
 from .registry import ModelRegistry, ModelVersion
 from .server import Channel, DEFAULT_MAX_LINE, GestureServer
 
@@ -69,6 +72,7 @@ __all__ = [
     "ModelVersion",
     "ProtocolError",
     "Request",
+    "ServeOptions",
     "SessionPool",
     "compare_modes",
     "decode_payload",

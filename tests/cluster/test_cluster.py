@@ -65,9 +65,7 @@ def test_invariance_matches_single_pool(
     assert len({shard_of(s, 4) for s in strokes}) >= 2
 
     async def run():
-        async with Cluster(
-            recognizer_path, workers=4, timeout=DEFAULT_TIMEOUT
-        ) as cluster:
+        async with Cluster(recognizer_path, workers=4) as cluster:
             host, port = cluster.address
             return await drive_cluster(host, port, ticks, end_t=end_t)
 
@@ -103,9 +101,7 @@ def test_invariance_across_worker_crash(
     mid = len(ticks) // 2
 
     async def run():
-        async with Cluster(
-            recognizer_path, workers=4, timeout=DEFAULT_TIMEOUT
-        ) as cluster:
+        async with Cluster(recognizer_path, workers=4) as cluster:
             host, port = cluster.address
             ups_before = {}
 
@@ -163,9 +159,7 @@ def test_invariance_with_faulted_input(
     )
 
     async def run():
-        async with Cluster(
-            recognizer_path, workers=3, timeout=DEFAULT_TIMEOUT
-        ) as cluster:
+        async with Cluster(recognizer_path, workers=3) as cluster:
             host, port = cluster.address
             return await drive_cluster(host, port, ticks, end_t=base.end_t)
 
@@ -201,9 +195,7 @@ def test_graceful_drain_via_admin_op(
         return reply
 
     async def run():
-        async with Cluster(
-            recognizer_path, workers=3, timeout=DEFAULT_TIMEOUT
-        ) as cluster:
+        async with Cluster(recognizer_path, workers=3) as cluster:
             host, port = cluster.address
 
             async def before_tick(i, t):
@@ -295,9 +287,7 @@ def test_timeout_boundary_rescue_survives_crash(
     assert json.loads(reference[rescued][0])["points_seen"] == 2
 
     async def run():
-        async with Cluster(
-            recognizer_path, workers=2, timeout=DEFAULT_TIMEOUT
-        ) as cluster:
+        async with Cluster(recognizer_path, workers=2) as cluster:
             host, port = cluster.address
             ups_before = {}
 
@@ -365,9 +355,7 @@ def test_drain_migrates_parked_sessions_instead_of_evicting(recognizer_path):
     victim = shard_of("s0", 2)
 
     async def run():
-        async with Cluster(
-            recognizer_path, workers=2, timeout=DEFAULT_TIMEOUT
-        ) as cluster:
+        async with Cluster(recognizer_path, workers=2) as cluster:
             host, port = cluster.address
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(
@@ -417,9 +405,7 @@ def test_drain_completes_without_the_source_worker(recognizer_path):
     victim = shard_of("s0", 2)
 
     async def run():
-        async with Cluster(
-            recognizer_path, workers=2, timeout=DEFAULT_TIMEOUT
-        ) as cluster:
+        async with Cluster(recognizer_path, workers=2) as cluster:
             host, port = cluster.address
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(

@@ -1,6 +1,6 @@
 """Fleet-wide quality telemetry: worker histograms merge in ``stats``.
 
-With ``Cluster(quality=True)`` every worker attaches a
+With ``Cluster(options=ServeOptions(quality=True))`` every worker attaches a
 :class:`~repro.obs.QualityMonitor` to its own pool; the monitor's
 registry-collector hook folds its staged decisions before each worker
 snapshots its metrics for a ``stats`` reply, and the router merges the
@@ -19,15 +19,15 @@ import math
 from repro.cluster import Cluster, drive_cluster, workload_ticks
 from repro.interaction import DEFAULT_TIMEOUT
 from repro.obs import MetricsRegistry, PoolObserver, QualityMonitor
-from repro.serve import run_load
+from repro.serve import ServeOptions, run_load
 
 DT = 0.01
 
 
-def _cluster_stats(recognizer_path, ticks, end_t, **cluster_kw) -> dict:
+def _cluster_stats(recognizer_path, ticks, end_t, **options) -> dict:
     async def run():
         async with Cluster(
-            recognizer_path, workers=3, timeout=DEFAULT_TIMEOUT, **cluster_kw
+            recognizer_path, workers=3, options=ServeOptions(**options)
         ) as cluster:
             host, port = cluster.address
             _, stats = await drive_cluster(host, port, ticks, end_t=end_t)

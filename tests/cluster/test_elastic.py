@@ -324,7 +324,6 @@ def test_scale_cycle_2_4_2_with_destination_kill(
         async with Cluster(
             recognizer_path,
             workers=2,
-            timeout=DEFAULT_TIMEOUT,
             min_workers=1,
             max_workers=6,
         ) as cluster:
@@ -419,7 +418,6 @@ def test_autoscaler_scales_a_live_cluster_out(recognizer_path):
         async with Cluster(
             recognizer_path,
             workers=1,
-            timeout=DEFAULT_TIMEOUT,
             min_workers=1,
             max_workers=2,
             autoscale=scaler,

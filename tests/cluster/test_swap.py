@@ -26,7 +26,7 @@ import pytest
 
 from repro.cluster import Cluster, HashRing, reference_lines, workload_ticks
 from repro.interaction import DEFAULT_TIMEOUT
-from repro.serve import ModelRegistry, encode_swap
+from repro.serve import ModelRegistry, ServeOptions, encode_swap
 
 DT = 0.01
 
@@ -159,8 +159,7 @@ def test_swap_rebinds_user_and_preserves_other_streams(
         async with Cluster(
             recognizer_path,
             workers=4,
-            timeout=DEFAULT_TIMEOUT,
-            registry=registry_root,
+            options=ServeOptions(registry=registry_root),
         ) as cluster:
             host, port = cluster.address
             replies, stats = await drive_with_lines(
@@ -206,8 +205,7 @@ def test_swap_survives_worker_crash_exactly_once(
         async with Cluster(
             recognizer_path,
             workers=4,
-            timeout=DEFAULT_TIMEOUT,
-            registry=registry_root,
+            options=ServeOptions(registry=registry_root),
         ) as cluster:
             host, port = cluster.address
             ups_before = {}
@@ -255,9 +253,7 @@ def test_registry_less_cluster_rejects_swap(recognizer_path):
     ticks = [(0.0, [])]
 
     async def run():
-        async with Cluster(
-            recognizer_path, workers=2, timeout=DEFAULT_TIMEOUT
-        ) as cluster:
+        async with Cluster(recognizer_path, workers=2) as cluster:
             host, port = cluster.address
             replies, _ = await drive_with_lines(
                 host, port, ticks, end_t=0.1, inject={0: [swap]}
