@@ -2,9 +2,9 @@
 
 The router's data plane does exactly two things per session op: rewrite
 the ``stroke`` field on the way in (namespace it ``client:stroke``) and
-rewrite it back on the way out.  The legacy implementation pays a full
-``json.loads`` → mutate → ``json.dumps`` round trip in each direction —
-by far the largest per-op cost.  Both rewrites only ever touch one
+rewrite it back on the way out.  A full ``json.loads`` → mutate →
+``json.dumps`` round trip in each direction would be by far the largest
+per-op cost.  Both rewrites only ever touch one
 value span, so when a line is in *canonical form* (the exact text
 ``json.dumps`` produces, which is what every shipped client and every
 worker emits) the rewrite is a string splice at a precomputed offset.
@@ -15,20 +15,21 @@ The contract that keeps this invisible:
   character-for-character (key order, ``", "`` separators, strict JSON
   numbers, no escapes in the stroke value).  Anything else — compact
   separators, reordered keys, ``NaN``, ``1.``, an escaped quote, a
-  control character — returns ``None`` and the caller falls back to
-  the exact legacy path, so validation outcomes and error-reply bytes
-  are unchanged for every input;
+  control character — fails to match, and the router parses and
+  validates the line once instead: errors get a single server's exact
+  bytes, and a valid op is re-encoded as the canonical line and routed
+  by the same block as a spliced one (see ``Router._route_batch``);
 * reply splicing applies only to lines the *worker's* ``json.dumps``
   produced, for which ``dumps(loads(raw))`` is the identity; removing
   the ``client:`` prefix from an escape-free stroke span therefore
-  yields the same bytes the legacy decode → re-encode produced.  Any
+  yields the same bytes a decode → re-encode produces.  Any
   reply outside the shape (stats, swap acks, errors, escaped strokes)
   returns ``None``.
 
 Number syntax is validated against the JSON grammar, not ``float()`` —
 ``float`` accepts ``"1_0"``, ``"+1"``, ``".5"`` and ``"1."``, all of
-which ``json.loads`` rejects, and the fast path must reject exactly
-what the slow path rejects.
+which ``json.loads`` rejects, and the fast path must never accept a
+line that the full parse would answer with an error.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ def splice_reply(raw: str):
     reply with the ``client:`` prefix removed from the stroke value —
     or ``None`` for any reply outside the canonical decision shape
     (stats, swap acks, errors, escaped strokes), which the caller must
-    decode the legacy way.  Splicing partitions on the *first* colon,
-    matching ``key.partition(":")`` in the legacy path.
+    decode in full.  Splicing partitions on the *first* colon, matching
+    the ``key.partition(":")`` of the full decode.
     """
     m = _REPLY.match(raw)
     if m is None:

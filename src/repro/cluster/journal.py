@@ -85,6 +85,10 @@ class SessionRecord:
     ) -> int:
         """Append one routed op line; returns the next free sequence number.
 
+        This is the only writer of routed session ops and their clock
+        markers: the router's one routing block calls it for every
+        ``down``/``move``/``up``, however the client spelled the op.
+
         ``clock`` is the *broadcast* clock before this op — the highest
         tick/sweep barrier the router has sent to workers; if it moved
         past this record's last entry, a tick marker is inserted first
@@ -109,7 +113,8 @@ class SessionRecord:
             )
             seq += 1
         self.entries.append((seq, line))
-        self.clock_mark = max(clock, t)
+        # A conditional, not max(): this runs once per routed op.
+        self.clock_mark = clock if clock > t else t
         return seq + 1
 
 

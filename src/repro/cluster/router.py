@@ -498,9 +498,8 @@ class Router:
             if terminal:
                 self.sessions.pop(key, None)
         client = self._clients.get(client_id)
-        if client is not None and not client.closed:
-            if not client.push(line):
-                self._close_client(client)
+        if client is not None:
+            self._reply(client, line)
         if self._replies_forwarded is not None:
             self._replies_forwarded.inc(1)
 
@@ -526,10 +525,10 @@ class Router:
                 t0 = perf_counter()
                 start = 0
                 while True:
-                    # Routing is synchronous; only the rare ops that
-                    # fan out (admin, stats) hand back an awaitable —
-                    # kept outside the busy-time accounting, which
-                    # measures data-plane work, not waits.
+                    # Routing is synchronous; only a ``stats`` line,
+                    # which fans out to the workers, hands back an
+                    # awaitable — kept outside the busy-time accounting,
+                    # which measures data-plane work, not waits.
                     pending, start = self._route_batch(client, events, start)
                     if pending is None:
                         break
@@ -577,28 +576,27 @@ class Router:
     def _route_batch(self, client: _Client, events, start: int):
         """Route one read's worth of client lines, starting at ``start``.
 
-        The canonical ``down``/``move``/``up`` shape takes the splice
-        path inline: no dict is built, the ``client:`` namespace prefix
-        is inserted at the matched offset, the journal append is the
-        pre-encoded marker plus the spliced line, and every per-op
-        ``self``/``client`` attribute read is hoisted into a local once
-        per batch — at router rates the lookups alone are measurable.
-        Anything else falls back to :meth:`_route_line` (with journal
-        and clock state synced around the call), so validation outcomes
-        and error bytes never depend on which path ran.
+        Every ``down``/``move``/``up`` goes through one routing block:
+        sticky ring lookup (the session record is created on first
+        sight), journal append via :meth:`SessionRecord.journal`,
+        enqueue to the shard's worker.  A line in the canonical shape
+        reaches that block by splicing — no dict is built, the
+        ``client:`` namespace prefix is inserted at the matched offset.
+        Any other line is parsed and validated once by
+        :meth:`_route_line`, which hands a valid session op back as the
+        canonical line, so validation outcomes, error bytes and the
+        forwarded op never depend on how the client spelled it.  The
+        per-batch ``self``/``client`` attribute reads are hoisted into
+        locals — at router rates the lookups alone are measurable.
 
         Returns ``(pending, resume)``: ``pending`` is an awaitable only
-        when a line fanned out (admin, stats) — the caller awaits it
-        outside the busy window and re-enters at index ``resume``.
+        when a ``stats`` line fanned out — the caller awaits it outside
+        the busy window and re-enters at index ``resume``.
         """
         match = OP_LINE.match
         sessions = self.sessions
         links = self.links
         ns = client.ns
-        cid = client.id
-        seq = self._seq
-        clock = self._clock
-        clock_line = self._clock_line
         ops = 0
         pending = None
         i = start
@@ -607,10 +605,9 @@ class Router:
             kind, bline = events[i]
             i += 1
             if kind != "line":  # overflow: the only other mid-batch kind
-                if not client.push(
-                    encode_error(f"line exceeds {self.max_line} bytes")
+                if not self._reply(
+                    client, encode_error(f"line exceeds {self.max_line} bytes")
                 ):
-                    self._close_client(client)
                     break
                 continue
             # bytes.strip() copies even when there is nothing to strip;
@@ -621,37 +618,32 @@ class Router:
                     continue
             line = bline.decode()
             m = match(line)
-            if m is None:
-                # Sync shared state around the legacy path: it journals
-                # non-canonical ops (``_seq``) and a tick/sweep moves
-                # the broadcast clock.
-                self._seq = seq
-                pending = self._route_line(client, line)
-                seq = self._seq
-                clock = self._clock
-                clock_line = self._clock_line
-                if pending is not None:
+            if m is not None:
+                stroke, ts = m.group(2, 3)
+                key = ns + stroke
+                vstart = m.start(2)
+                forwarded = line[:vstart] + ns + line[vstart:]
+                t = float(ts)
+            else:
+                routed = self._route_line(client, line)
+                if routed is None:
+                    if client.closed:  # a refused reply closed it
+                        break
+                    continue
+                if type(routed) is not tuple:
+                    pending = routed
                     break
-                continue
-            stroke, ts = m.group(2, 3)
-            key = ns + stroke
+                key, t, forwarded = routed
             record = sessions.get(key)
             if record is None:
-                shard = self.ring.lookup(
-                    key, skip=self.draining | self.retired
-                )
-                record = SessionRecord(key, cid, shard)
-                sessions[key] = record
-            vstart = m.start(2)
-            forwarded = line[:vstart] + ns + line[vstart:]
-            entries = record.entries
-            if clock > record.clock_mark:
-                entries.append((seq, clock_line))
-                seq += 1
-            entries.append((seq, forwarded))
-            seq += 1
-            t = float(ts)
-            record.clock_mark = clock if clock > t else t
+                shard = self.ring.lookup(key, skip=self.draining | self.retired)
+                record = sessions[key] = SessionRecord(key, client.id, shard)
+            # The journal marker carries the broadcast clock — the
+            # barriers the worker received before this op; the op's own
+            # t rides on the op line itself, live and in replay alike.
+            self._seq = record.journal(
+                self._seq, forwarded, self._clock, t, self._clock_line
+            )
             link = links[record.shard]
             if link.state == "up":
                 # _Mailbox.put_nowait, inlined.
@@ -661,106 +653,109 @@ class Router:
                 if len(items) == 1:
                     queue.event.set()
             ops += 1
-        self._seq = seq
         if ops:
             self._ops_pending += ops
         self._flush_op_count()
         return pending, i
 
     def _route_line(self, client: _Client, line: str):
-        """Route one non-canonical client line the legacy way; returns
-        an awaitable only for ops that fan out (admin, stats).
+        """Parse and validate one non-canonical client line.
 
-        Everything here decodes to a dict — including valid session ops
-        in non-canonical form (compact separators, reordered keys),
-        which are validated, re-encoded canonically, and journaled
-        exactly as every op was before the splice path existed.
+        Returns ``(key, t, forwarded)`` for a valid ``down``/``move``/
+        ``up`` — the namespaced session key, the op's time, and the op
+        re-encoded in the canonical shape — which the caller routes like
+        any spliced op.  Every other line is handled here and returns
+        ``None`` — except ``stats``, which fans out to the workers and
+        returns an awaitable.
         """
         try:
             payload = json.loads(line)
         except ValueError as exc:
-            client.push(encode_error(f"bad json: {exc}"))
+            self._reply(client, encode_error(f"bad json: {exc}"))
             return None
         if isinstance(payload, dict):
             if payload.get("op") in ("cluster", "drain", "scale"):
-                return self._admin(client, payload)
+                self._reply(client, self._admin(payload))
+                return None
         try:
             request = decode_payload(payload)
         except ProtocolError as exc:
-            client.push(encode_error(str(exc)))
+            self._reply(client, encode_error(str(exc)))
             return None
         op = request.op
+        if op in ("down", "move", "up"):
+            key = client.ns + request.stroke
+            forwarded = json.dumps(
+                {
+                    "op": op,
+                    "stroke": key,
+                    "x": request.x,
+                    "y": request.y,
+                    "t": request.t,
+                }
+            )
+            return key, request.t, forwarded
         if op in ("release", "pin", "expire"):
             # Migration internals the router speaks to its *workers*;
             # from a client they could silently corrupt live sessions.
-            client.push(
+            self._reply(
+                client,
                 encode_error(
                     f"internal op: {op}", stroke=request.stroke, t=request.t
-                )
+                ),
             )
             return None
         if op == "stats":
             return self._fleet_stats(client)
         if op == "swap":
-            self._route_swap(client, request)
+            self._reply(client, self._route_swap(client, request))
             return None
+        self._advance_clock(request.t)
+        self._broadcast(line)
         if op == "tick":
-            if request.t > self._clock:
-                self._clock = request.t
-                self._clock_line = json.dumps({"op": "tick", "t": self._clock})
-            self._broadcast(line)
             self._count("cluster.ticks_broadcast")
             return None
-        if op == "sweep":
-            if request.t > self._clock:
-                self._clock = request.t
-                self._clock_line = json.dumps({"op": "tick", "t": self._clock})
-            self._sweeps_broadcast += 1
-            self._broadcast(line)
-            # A worker can die with the sweep queued or sent but not yet
-            # processed — death detection is asynchronous, so "up at
-            # routing time" proves nothing — and a lost sweep would mean
-            # the replayed worker never runs the eviction every live
-            # worker ran.  So the sweep is journaled (with its clock
-            # marker) for *every* shard that could still be replayed.
-            for link in self.links.values():
-                if link.shard not in self.retired:
-                    self._journal_sweep(link, line)
-            return None
-        # down / move / up in non-canonical form: sticky-route, journal,
-        # forward — via re-encode, exactly as every op was before the
-        # splice path existed.  The journal marker carries the broadcast
-        # clock — the barriers the worker received before this op; the
-        # op's own t is carried by the op line itself, live and in
-        # replay alike.
-        key = f"{client.id}:{request.stroke}"
-        record = self.sessions.get(key)
-        if record is None:
-            shard = self.ring.lookup(key, skip=self.draining | self.retired)
-            record = SessionRecord(key, client.id, shard)
-            self.sessions[key] = record
-        payload["stroke"] = key
-        forwarded = json.dumps(payload)
-        self._seq = record.journal(
-            self._seq,
-            forwarded,
-            clock=self._clock,
-            t=request.t,
-            clock_line=self._clock_line,
-        )
-        link = self.links[record.shard]
-        if link.state == "up":
-            link.queue.put_nowait(forwarded)
-        self._ops_pending += 1
+        # sweep: a worker can die with the sweep queued or sent but not
+        # yet processed — death detection is asynchronous, so "up at
+        # routing time" proves nothing — and a lost sweep would mean
+        # the replayed worker never runs the eviction every live
+        # worker ran.  So the sweep is journaled (with its clock
+        # marker) for *every* shard that could still be replayed.
+        self._sweeps_broadcast += 1
+        for link in self.links.values():
+            if link.shard not in self.retired:
+                self._journal_sweep(link, line)
         return None
+
+    def _advance_clock(self, t: float) -> None:
+        """Move the broadcast clock to a barrier at ``t`` (never back)."""
+        if t > self._clock:
+            self._clock = t
+            self._clock_line = json.dumps({"op": "tick", "t": t})
+
+    def _reply(self, client: _Client, line: str) -> bool:
+        """Queue one reply line; a refusal closes the client.
+
+        Past ``queue_size`` queued replies the client is not reading,
+        and a reply silently dropped would leave its stream short, so
+        the connection is closed instead — as a single server does.
+        Returns whether the line was queued.
+        """
+        if client.closed:
+            return False
+        if client.push(line):
+            return True
+        self._close_client(client)
+        return False
 
     def _broadcast(self, line: str) -> None:
         for link in self.links.values():
             if link.state == "up":
                 link.queue.put_nowait(line)
 
-    def _route_swap(self, client: _Client, request) -> None:
-        """Resolve, pin, broadcast, and journal one swap request.
+    def _route_swap(self, client: _Client, request) -> str:
+        """Resolve, pin, broadcast, and journal one swap request; returns
+        the client's reply line (the ack, or the error).
 
         The user is rewritten to ``client:user`` so it prefixes the
         worker-side session keys exactly as stroke namespacing composes
@@ -771,10 +766,7 @@ class Router:
         publish re-applies the same bits.
         """
         if self.registry is None:
-            client.push(
-                encode_error("swap unsupported: no registry", t=request.t)
-            )
-            return
+            return encode_error("swap unsupported: no registry", t=request.t)
         name, _, version = request.model.partition("@")
         try:
             if version:
@@ -782,8 +774,7 @@ class Router:
             else:
                 version = self.registry.latest_version(name)
         except (KeyError, OSError) as exc:
-            client.push(encode_error(f"swap failed: {exc}", t=request.t))
-            return
+            return encode_error(f"swap failed: {exc}", t=request.t)
         pinned = f"{name}@{version}"
         user_prefix = f"{client.id}:{request.user}"
         line = json.dumps(
@@ -804,8 +795,8 @@ class Router:
             if link.shard not in self.retired:
                 link.swaps.append((self._seq, line))
                 self._seq += 1
-        client.push(encode_swap(request.user, pinned, request.t))
         self._count("cluster.swaps_routed")
+        return encode_swap(request.user, pinned, request.t)
 
     def _journal_sweep(self, link: _WorkerLink, line: str) -> None:
         """Journal one sweep (with clock marker) into a shard's extras.
@@ -856,26 +847,12 @@ class Router:
         task step, so a migration started immediately after cannot race
         anything.
         """
-        loop = asyncio.get_running_loop()
         while True:
             mark = (
                 self._sweeps_broadcast,
                 sum(link.ups for link in self.links.values()),
             )
-            futures = []
-            for link in self.links.values():
-                if link.state == "up":
-                    fut = loop.create_future()
-                    link.pending_stats.append(fut)
-                    link.queue.put_nowait('{"op": "stats"}')
-                    futures.append(fut)
-            if futures:
-                try:
-                    await asyncio.wait_for(
-                        asyncio.gather(*futures), timeout=self.stats_timeout
-                    )
-                except asyncio.TimeoutError:
-                    pass
+            await self._probe_workers()
             if mark == (
                 self._sweeps_broadcast,
                 sum(link.ups for link in self.links.values()),
@@ -1042,7 +1019,14 @@ class Router:
 
     # -- stats and admin -----------------------------------------------------
 
-    async def _fleet_stats(self, client: _Client) -> None:
+    async def _probe_workers(self) -> list:
+        """Send every live worker a ``stats`` probe and gather the replies.
+
+        Each probe queues *behind* whatever the link already holds, so
+        a reply also proves the worker processed all of it.  Returns the
+        replies in by ``stats_timeout`` (a worker that died mid-probe
+        answers ``None``).
+        """
         loop = asyncio.get_running_loop()
         futures = []
         for link in self.links.values():
@@ -1051,15 +1035,17 @@ class Router:
                 link.pending_stats.append(fut)
                 link.queue.put_nowait('{"op": "stats"}')
                 futures.append(fut)
-        replies: list = []
-        if futures:
-            try:
-                replies = await asyncio.wait_for(
-                    asyncio.gather(*futures), timeout=self.stats_timeout
-                )
-            except asyncio.TimeoutError:
-                replies = [f.result() for f in futures if f.done() and not f.cancelled()]
-        stats = [r for r in replies if isinstance(r, dict)]
+        if not futures:
+            return []
+        try:
+            return await asyncio.wait_for(
+                asyncio.gather(*futures), timeout=self.stats_timeout
+            )
+        except asyncio.TimeoutError:
+            return [f.result() for f in futures if f.done() and not f.cancelled()]
+
+    async def _fleet_stats(self, client: _Client) -> None:
+        stats = [r for r in await self._probe_workers() if isinstance(r, dict)]
         snapshots = [s.get("metrics") for s in stats]
         if self.metrics is not None:
             snapshots.append(self.metrics.snapshot())
@@ -1083,8 +1069,7 @@ class Router:
         payload["cluster"]["worker_busy_s"] = round(
             sum(s.get("busy_s", 0.0) for s in stats), 6
         )
-        if not client.closed and not client.push(json.dumps(payload)):
-            self._close_client(client)
+        self._reply(client, json.dumps(payload))
 
     def status(self) -> dict:
         shards = {}
@@ -1113,12 +1098,11 @@ class Router:
             },
         }
 
-    async def _admin(self, client: _Client, payload: dict) -> None:
+    def _admin(self, payload: dict) -> str:
+        """Act on one admin op (``cluster``, ``scale``, ``drain``) and
+        return its reply line."""
         if payload["op"] == "cluster":
-            reply = {"kind": "cluster"}
-            reply.update(self.status())
-            client.push(json.dumps(reply))
-            return
+            return json.dumps({"kind": "cluster", **self.status()})
         if payload["op"] == "scale":
             workers = payload.get("workers")
             if (
@@ -1126,31 +1110,22 @@ class Router:
                 or not isinstance(workers, int)
                 or workers < 1
             ):
-                client.push(encode_error("scale needs a positive workers count"))
-                return
+                return encode_error("scale needs a positive workers count")
             if self.scale_hook is None:
-                client.push(encode_error("scale unavailable: no supervisor"))
-                return
+                return encode_error("scale unavailable: no supervisor")
             asyncio.get_running_loop().create_task(self.scale_hook(workers))
-            client.push(
-                json.dumps(
-                    {"kind": "scale", "workers": workers, "status": "started"}
-                )
+            return json.dumps(
+                {"kind": "scale", "workers": workers, "status": "started"}
             )
-            return
         shard = payload.get("shard")
         if shard not in self.links:
-            client.push(encode_error(f"unknown shard: {shard!r}"))
-            return
+            return encode_error(f"unknown shard: {shard!r}")
         if shard in self.draining or shard in self.retired:
-            client.push(encode_error(f"shard already draining: {shard}"))
-            return
+            return encode_error(f"shard already draining: {shard}")
         if self.drain_hook is None:
-            client.push(encode_error("drain unavailable: no supervisor"))
-            return
+            return encode_error("drain unavailable: no supervisor")
         live = {s for s in self.links if s not in self.draining | self.retired}
         if len(live) <= 1:
-            client.push(encode_error("cannot drain the last live shard"))
-            return
+            return encode_error("cannot drain the last live shard")
         asyncio.get_running_loop().create_task(self.drain_hook(shard))
-        client.push(json.dumps({"kind": "drain", "shard": shard, "status": "started"}))
+        return json.dumps({"kind": "drain", "shard": shard, "status": "started"})

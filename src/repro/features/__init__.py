@@ -3,6 +3,7 @@
 from .incremental import (
     IncrementalFeatures,
     fold_turn_angles,
+    replay_vector,
     vector_from_snapshot,
 )
 from .rubine import FEATURE_NAMES, NUM_FEATURES, feature_matrix, features_of
@@ -14,5 +15,6 @@ __all__ = [
     "feature_matrix",
     "features_of",
     "fold_turn_angles",
+    "replay_vector",
     "vector_from_snapshot",
 ]

@@ -19,7 +19,12 @@ import numpy as np
 from ..geometry import Point, Stroke
 from .rubine import NUM_FEATURES, _MIN_DISTANCE, _MIN_DT, _MIN_SEGMENT_SQ
 
-__all__ = ["IncrementalFeatures", "fold_turn_angles", "vector_from_snapshot"]
+__all__ = [
+    "IncrementalFeatures",
+    "fold_turn_angles",
+    "replay_vector",
+    "vector_from_snapshot",
+]
 
 
 def fold_turn_angles(crosses, dots) -> tuple[float, float, float]:
@@ -219,3 +224,21 @@ class IncrementalFeatures:
         f[11] = self._max_speed_sq
         f[12] = last.t - first.t
         return f
+
+
+def replay_vector(points) -> np.ndarray:
+    """The scalar feature vector of a gesture prefix, replayed point by point.
+
+    Accepts both point shapes the serving pool stores: ``(x, y, t)``
+    tuples (batched mode) and :class:`~repro.geometry.Point` (sequential
+    mode).  Replaying through :class:`IncrementalFeatures` makes the
+    result the *reference* vector — identical bits in either execution
+    mode — which is what the batched evaluator's exact fallback and the
+    quality monitor both measure against.
+    """
+    inc = IncrementalFeatures()
+    for p in points:
+        if type(p) is tuple:
+            p = Point(p[0], p[1], p[2])
+        inc.add_point(p)
+    return inc.vector

@@ -63,12 +63,7 @@ from __future__ import annotations
 
 from hashlib import blake2b
 
-from ..features import (
-    IncrementalFeatures,
-    fold_turn_angles,
-    vector_from_snapshot,
-)
-from ..geometry import Point
+from ..features import fold_turn_angles, replay_vector, vector_from_snapshot
 
 __all__ = ["QualityMonitor", "session_sampled"]
 
@@ -79,7 +74,7 @@ _SAMPLE_SCALE = 1 << 64
 
 _NEG_INF = float("-inf")
 
-# Deferred-mode backstop: if nothing scrapes the metrics for this many
+# Staging backstop: if nothing scrapes the metrics for this many
 # decisions, flush inline so staged capture stays bounded (~300 bytes a
 # decision).  Any periodic scrape — a cluster heartbeat, a dashboard —
 # drains far earlier.
@@ -134,22 +129,6 @@ def _assemble(state: tuple) -> np.ndarray:
     )
 
 
-def _replay_vector(points) -> np.ndarray:
-    """The scalar feature vector of a decided prefix.
-
-    Accepts both point shapes the pool stores: ``(x, y, t)`` tuples
-    (batched mode) and :class:`~repro.geometry.Point` (sequential mode).
-    Replaying through :class:`IncrementalFeatures` makes the result the
-    *reference* vector — identical bits in either execution mode.
-    """
-    inc = IncrementalFeatures()
-    for p in points:
-        if type(p) is tuple:
-            p = Point(p[0], p[1], p[2])
-        inc.add_point(p)
-    return inc.vector
-
-
 class QualityMonitor:
     """Per-decision recognition-quality metrics, trace records, drift.
 
@@ -157,7 +136,8 @@ class QualityMonitor:
     pool calls two hooks:
 
     * :meth:`decided` with the decided prefix and the ``recog`` decision
-      — margins, distance, and dwell are computed here;
+      — the dwell is measured and the decision staged; its margin and
+      distance are scored at the next :meth:`flush`;
     * :meth:`closed` when the session reaches a terminal event, with the
       stroke's total point count — eagerness needs the whole stroke.
 
@@ -220,22 +200,23 @@ class QualityMonitor:
         self._outlier_sq = 0.5 * self._dim * self._dim
         self.metrics = metrics
         self.tracer = tracer
-        # With no tracer attached (the always-on configuration) the
-        # per-decision math is *deferred*: decided() stages the feature
-        # vector plus metadata — a few appends — and flush() runs the
-        # margin/distance pipeline when the numbers are actually read.
-        # Reads stay consistent because the registry invokes flush as a
-        # pre-snapshot collector and drift_scores() flushes first; the
-        # FIFO replay keeps every accumulation in decision order, so
-        # the results are bit-identical to scoring eagerly.  A tracer
-        # forces the eager path: trace records must interleave with the
-        # pool's own records in event order (the golden traces pin
-        # that).
-        self._defer = tracer is None
-        self._staged: list[tuple] = []
+        # The per-decision math is *deferred*: decided() stages the
+        # decision with its feature vector — a couple of appends — and
+        # flush() runs the margin/distance pipeline when the numbers
+        # are actually read.  Reads stay consistent because the
+        # registry invokes flush as a pre-snapshot collector,
+        # drift_scores() flushes first, and with a tracer attached
+        # closed() flushes before it emits the session's record — at
+        # the close, in event order, where the golden traces pin it.
+        # The FIFO replay keeps every accumulation in decision order,
+        # so the results are bit-identical to scoring each decision as
+        # it happened.
+        # Staged entries are ``[decision, dwell, features]``; flush()
+        # replaces the features with their ``(margin, d_sq)`` score.
+        self._staged: list[list] = []
         self._staged_closed: list[tuple] = []
-        # key -> staged record, completed (and emitted) at close time.
-        self._pending: dict[str, dict] = {}
+        # key -> its staged entry, completed (and emitted) at close time.
+        self._pending: dict[str, list] = {}
         # class -> [decisions, sum of d^2] for drift_scores().
         self._drift: dict[str, list] = {}
         # class -> (margin.observe, mahal_sq.observe); label -> observe.
@@ -255,7 +236,7 @@ class QualityMonitor:
     # -- hooks (called by the pool) ------------------------------------------
 
     def decided(self, points, decision, vector=None) -> None:
-        """A session decided: compute margin, distance, and dwell.
+        """A session decided: measure the dwell and stage the decision.
 
         ``vector`` is the decided prefix's feature vector — or the raw
         accumulator snapshot tuple of
@@ -263,7 +244,7 @@ class QualityMonitor:
         lazily through :func:`~repro.features.vector_from_snapshot` —
         when the caller already holds it (the pool's O(1) vectorized
         sources, proven bit-identical to the replay); ``None`` replays
-        the prefix through :class:`IncrementalFeatures` — the reference
+        the prefix (:func:`~repro.features.replay_vector`) — the reference
         formulation, and the path for callers that only have points.
         """
         key = decision.key
@@ -275,46 +256,28 @@ class QualityMonitor:
                 if self.metrics is not None:
                     self._inc_sampled_out()
                 return
-        features = _replay_vector(points) if vector is None else vector
+        features = replay_vector(points) if vector is None else vector
         first = points[0]
         dwell = decision.t - (first[2] if type(first) is tuple else first.t)
-        name = decision.class_name
-        if self._defer:
-            # Capture only: the vector (or raw snapshot tuple) is
-            # already fresh — every source hands over a new object — so
-            # staging is a couple of appends.  Assembly, masking and
-            # scoring all happen in flush(), at read time.
-            self._staged.append((features, name, decision.reason, dwell))
-            self._pending[key] = (name, decision.points_seen)
-            if len(self._staged) >= _MAX_STAGED:
-                self.flush()
-            return
-        margin, d_sq = self._score(features)
-        self._account(name, decision.reason, margin, d_sq, dwell)
-        record = {
-            "class": name,
-            "reason": decision.reason,
-            "eager": decision.eager,
-            "points": decision.points_seen,
-            "margin": margin,
-            "d2": d_sq,
-            "drift": d_sq / self._dim,
-            "outlier": bool(d_sq > self._outlier_sq),
-            "dwell": dwell,
-            "t": decision.t,
-        }
-        if not self._sample_all:
-            record["sample_rate"] = self.sample_rate
-        self._pending[key] = record
+        # Capture only: the vector (or raw snapshot tuple) is already
+        # fresh — every source hands over a new object — so staging is
+        # a couple of appends.  Assembly, masking and scoring all
+        # happen in flush(), at read time.
+        entry = [decision, dwell, features]
+        self._staged.append(entry)
+        self._pending[key] = entry
+        if len(self._staged) >= _MAX_STAGED:
+            self.flush()
 
     def flush(self) -> None:
         """Score and account every staged decision (idempotent, FIFO).
 
         Invoked automatically before each metrics snapshot (the
-        registry collector hook) and by :meth:`drift_scores`; callers
-        holding neither can invoke it directly.  Replaying in decision
-        order makes every float accumulation identical to having scored
-        eagerly.
+        registry collector hook), by :meth:`drift_scores`, and — with a
+        tracer attached — by :meth:`closed` before it emits; callers
+        holding none of these can invoke it directly.  Replaying in
+        decision order makes every float accumulation identical to
+        having scored each decision as it happened.
         """
         staged = self._staged
         closed = self._staged_closed
@@ -322,9 +285,12 @@ class QualityMonitor:
             self._staged = []
             score = self._score
             account = self._account
-            for features, name, reason, dwell in staged:
-                margin, d_sq = score(features)
-                account(name, reason, margin, d_sq, dwell)
+            for entry in staged:
+                decision, dwell, features = entry
+                margin, d_sq = entry[2] = score(features)
+                account(
+                    decision.class_name, decision.reason, margin, d_sq, dwell
+                )
         if closed:
             self._staged_closed = []
             for name, points_seen, total_points in closed:
@@ -418,27 +384,42 @@ class QualityMonitor:
         (killed or evicted mid-collection) have nothing staged and are
         a no-op here.
         """
-        record = self._pending.pop(key, None)
-        if record is None:
+        entry = self._pending.pop(key, None)
+        if entry is None:
             return
-        if type(record) is tuple:  # deferred mode: (class, points_seen)
-            if self.metrics is not None:
-                # The eagerness divide and histogram insert also wait
-                # for flush(); observes replay in close order, so the
-                # histogram's float running sum is bit-identical.
-                self._staged_closed.append((*record, total_points))
-            return
-        eagerness = (
-            record["points"] / total_points if total_points > 0 else 0.0
-        )
-        record["total"] = total_points
-        record["eagerness"] = eagerness
+        decision = entry[0]
         if self.metrics is not None:
-            self._observe_eagerness(record["class"], eagerness)
-        if self.tracer is not None:
-            record["rec"] = "quality"
-            record["session"] = key
-            self.tracer.record(record)
+            # The eagerness divide and histogram insert also wait for
+            # flush(); observes replay in close order, so the
+            # histogram's float running sum is bit-identical.
+            self._staged_closed.append(
+                (decision.class_name, decision.points_seen, total_points)
+            )
+        if self.tracer is None:
+            return
+        self.flush()
+        margin, d_sq = entry[2]
+        record = {
+            "class": decision.class_name,
+            "reason": decision.reason,
+            "eager": decision.eager,
+            "points": decision.points_seen,
+            "margin": margin,
+            "d2": d_sq,
+            "drift": d_sq / self._dim,
+            "outlier": bool(d_sq > self._outlier_sq),
+            "dwell": entry[1],
+            "t": decision.t,
+        }
+        if not self._sample_all:
+            record["sample_rate"] = self.sample_rate
+        record["total"] = total_points
+        record["eagerness"] = (
+            decision.points_seen / total_points if total_points > 0 else 0.0
+        )
+        record["rec"] = "quality"
+        record["session"] = key
+        self.tracer.record(record)
 
     def _observe_eagerness(self, name, eagerness) -> None:
         eager_obs = self._eager_obs.get(name)

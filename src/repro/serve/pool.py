@@ -72,7 +72,7 @@ import numpy as np
 
 from ..eager import EagerRecognizer, EagerSession
 from ..events import VirtualClock
-from ..features import IncrementalFeatures
+from ..features import replay_vector
 from ..geometry import Point
 from ..interaction import DEFAULT_TIMEOUT
 from .bank import FeatureBank
@@ -701,7 +701,7 @@ class SessionPool:
                             eager_unambiguous[i] = eval_sessions[
                                 i
                             ].model.recognizer.auc.is_unambiguous(
-                                self._replay_vector(eval_sessions[i])
+                                replay_vector(eval_sessions[i].points)
                             )
                         if prof is not None:
                             prof.add(
@@ -978,35 +978,20 @@ class SessionPool:
         accumulator tuple (O(1) per call; the monitor assembles it
         lazily); sequential mode reads the eager session's own
         incremental vector.  Both are bit-identical to
-        :meth:`_replay_vector` once assembled — that identity is what
-        lets :class:`~repro.obs.QualityMonitor` stay attached in
-        production without re-walking every decided prefix.
+        :func:`~repro.features.replay_vector` once assembled — that
+        identity is what lets :class:`~repro.obs.QualityMonitor` stay
+        attached in production without re-walking every decided prefix.
         """
         if self.batched:
             return self._bank.quality_state(session.slot)
         return session.eseq.feature_vector
-
-    def _replay_vector(self, session: _Session) -> np.ndarray:
-        """The scalar path's exact feature vector for a session's prefix.
-
-        This is the arbiter behind the batched mode's equivalence
-        guarantee: rows the :class:`BatchEvaluator` flags as risky are
-        re-decided from features computed precisely as
-        :class:`~repro.eager.EagerSession` computes them.
-        """
-        inc = IncrementalFeatures()
-        for p in session.points:
-            if type(p) is tuple:
-                p = Point(p[0], p[1], p[2])
-            inc.add_point(p)
-        return inc.vector
 
     def _fallback_full(self, session: _Session) -> str:
         """One exact-fallback full classification, profiled when attached."""
         prof = self._profiler
         t_start = perf_counter() if prof is not None else 0.0
         name = session.model.recognizer.full_classifier.classify_features(
-            self._replay_vector(session)
+            replay_vector(session.points)
         )
         if prof is not None:
             prof.add("exact_fallback", perf_counter() - t_start)
@@ -1047,7 +1032,7 @@ class SessionPool:
         if not self.batched:
             return [
                 s.model.recognizer.full_classifier.classify_features(
-                    self._replay_vector(s)
+                    replay_vector(s.points)
                 )
                 for s in sessions
             ]

@@ -326,14 +326,15 @@ async def drive_script(
 
 
 def _non_op_reply(line: str):
-    """Predict the router's reply for a line that is not a session op.
+    """Predict the router's reply for a line outside the canonical shape.
 
-    Mirrors the router's legacy client path exactly (same json error
-    text, same ``decode_payload`` messages), so the expected error
-    bytes need no hand-maintained table.  Returns ``(reply, None)`` for
-    error lines and ``(None, request)`` when the line is a *valid*
-    session op in non-canonical form, which the reference must then
-    apply to the pool.
+    The router parses and validates every such line once, with the
+    same json error text and the same ``decode_payload`` messages, so
+    the expected error bytes need no hand-maintained table.  Returns
+    ``(reply, None)`` for error lines and ``(None, request)`` when the
+    line is a *valid* session op in another spelling — the router
+    forwards it as the canonical op line, and the reference must apply
+    it to the pool.
     """
     try:
         payload = json.loads(line)
@@ -345,7 +346,7 @@ def _non_op_reply(line: str):
         return encode_error(str(exc)), None
     if request.op in ("release", "pin", "expire"):
         # Migration internals: valid protocol, but the router refuses
-        # them from clients (same bytes as Router._route_line).
+        # them from clients with this error.
         return (
             encode_error(
                 f"internal op: {request.op}",

@@ -20,9 +20,11 @@ loose for long soak runs.
 from __future__ import annotations
 
 import asyncio
+import json
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.cluster import workload_ticks
@@ -32,7 +34,7 @@ from repro.synth import gdp_templates
 from .inproc import InProcessCluster, drive_script, reference_script
 from .test_cluster import DT, assert_byte_identical, end_time
 
-# Raw lines for the router's legacy/error paths: unparseable bytes, a
+# Raw lines for the router's error paths: unparseable bytes, a
 # non-object, an unknown op, a missing field, a bad max_idle.  Expected
 # replies are *derived* (inproc._non_op_reply), not hand-written, so
 # these stay in lockstep with the protocol module.
@@ -43,6 +45,64 @@ BAD_LINES = (
     '{"op": "down", "stroke": "q", "x": 1, "y": 2}',
     '{"op": "sweep", "max_idle": -1}',
 )
+
+# Other spellings of a valid session op.  Every one that is not in the
+# canonical shape is parsed and validated once by the router and must
+# reach the worker as the canonical line; integer coordinates alone
+# still match the canonical shape (the splice path forwards them as
+# sent), so they cover that path with non-float numbers.
+RESPELLINGS = (
+    "reordered",
+    "compact",
+    "integer",
+    "compact integer",
+    "reordered compact integer",
+)
+
+# The respelling axis: None, or (rng seed, share of ops respelled,
+# spellings to draw from).
+respell_specs = st.one_of(
+    st.none(),
+    st.tuples(
+        st.integers(min_value=0, max_value=2**16),
+        st.sampled_from([0.25, 0.5, 1.0]),
+        st.lists(
+            st.sampled_from(RESPELLINGS), min_size=1, max_size=3, unique=True
+        ),
+    ),
+)
+
+
+def respell(style: str, op: str, stroke: str, x: float, y: float, t: float):
+    """One session op as a raw line in the given spelling."""
+    words = style.split()
+    if "integer" in words:
+        x, y = round(x), round(y)
+    fields = [("op", op), ("stroke", stroke), ("x", x), ("y", y), ("t", t)]
+    if "reordered" in words:
+        fields.reverse()
+    separators = (",", ":") if "compact" in words else None
+    return json.dumps(dict(fields), separators=separators)
+
+
+def respelled_ops(t: float, group, rng: random.Random, share: float, styles):
+    """A tick group as script events, with ``share`` of its ops sent as
+    raw respelled lines; wire order is kept, so runs of ops left alone
+    stay one ``ops`` event."""
+    events = []
+    run: list = []
+    for op in group:
+        if rng.random() < share:
+            if run:
+                events.append(("ops", t, run))
+                run = []
+            style = styles[rng.randrange(len(styles))]
+            events.append(("raw", respell(style, *op, t)))
+        else:
+            run.append(op)
+    if run:
+        events.append(("ops", t, run))
+    return events
 
 
 @pytest.fixture(scope="session")
@@ -145,6 +205,7 @@ def cluster_cases(draw):
         "rawop_at": draw(
             st.one_of(st.none(), st.floats(min_value=0.1, max_value=0.8))
         ),
+        "respell": draw(respell_specs),
     }
 
 
@@ -163,8 +224,8 @@ def build_script(case, ticks, end_t):
     if case["rawop_at"] is not None:
         i = min(int(case["rawop_at"] * n), n - 1)
         t = ticks[i][0]
-        # A *valid* op in non-canonical form (key order, separators):
-        # must route through the legacy re-encode path and still match.
+        # A lone *valid* down in non-canonical form (key order): a
+        # session that never ends, left for the final sweep.
         at(
             case["rawop_at"],
             ("raw", '{"t": %r, "op": "down", "stroke": "zz", "x": 4.0, "y": 5.0}' % t),
@@ -187,10 +248,16 @@ def build_script(case, ticks, end_t):
         frac, target = case["scale"]
         at(frac, ("scale", target))
 
+    if case["respell"] is not None:
+        seed, share, styles = case["respell"]
+        rng = random.Random(seed)
     script = []
     for i, (t, group) in enumerate(ticks):
         script.extend(inject.get(i, ()))
-        script.append(("ops", t, group))
+        if case["respell"] is not None:
+            script.extend(respelled_ops(t, group, rng, share, styles))
+        else:
+            script.append(("ops", t, group))
         script.append(("tick", t))
     script.append(("tick", end_t))
     script.append(("sweep", 0.0))
@@ -228,6 +295,29 @@ def _run_case(case, recognizer, registry) -> None:
 
 
 @given(case=cluster_cases())
+@example(
+    # A worker crashes mid-stroke while every op arrives respelled: the
+    # replay must feed the restarted worker the canonical journal lines.
+    # The churn just before the crash lets the router catch up with the
+    # script, so w0 holds a live session (11 journal entries) when it
+    # dies.
+    case={
+        "workers": 2,
+        "clients": 2,
+        "gestures": 1,
+        "seed": 5,
+        "crash": (0.5, 0),
+        "drain": None,
+        "join": None,
+        "scale": None,
+        "swap": None,
+        "bads": [(0.4, BAD_LINES[3])],
+        "sweeps": [],
+        "churn": [0.5],
+        "rawop_at": None,
+        "respell": (1, 1.0, list(RESPELLINGS)),
+    }
+)
 def test_differential_cluster_vs_pool(case, cluster_recognizer, diff_registry):
     _run_case(case, cluster_recognizer, diff_registry)
 
@@ -250,6 +340,7 @@ def test_differential_pilot(cluster_recognizer, diff_registry):
         "sweeps": [(0.5, 1e9)],
         "churn": [0.4],
         "rawop_at": 0.3,
+        "respell": (7, 0.25, ["compact", "reordered compact integer"]),
     }
     _run_case(case, cluster_recognizer, diff_registry)
 
@@ -272,5 +363,6 @@ def test_differential_scale_cycle_pilot(cluster_recognizer, diff_registry):
         "sweeps": [(0.6, 0.5)],
         "churn": [],
         "rawop_at": None,
+        "respell": (3, 0.5, ["reordered", "integer"]),
     }
     _run_case(case, cluster_recognizer, diff_registry)

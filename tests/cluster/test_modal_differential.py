@@ -25,7 +25,12 @@ from repro.synth.modal import swipe_templates
 
 from .inproc import InProcessCluster, drive_script, reference_script
 from .test_cluster import DT, assert_byte_identical, end_time
-from .test_differential import BAD_LINES, build_script
+from .test_differential import (
+    BAD_LINES,
+    RESPELLINGS,
+    build_script,
+    respell_specs,
+)
 
 _TEMPLATES = {
     "modal": modal_templates,
@@ -92,6 +97,7 @@ def modal_cases(draw):
         "scale": None,
         "swap": None,
         "rawop_at": None,
+        "respell": draw(respell_specs),
         "bads": draw(
             st.lists(
                 st.tuples(
@@ -152,6 +158,7 @@ def _drained_pinch(**overrides):
         "scale": None,
         "swap": None,
         "rawop_at": None,
+        "respell": None,
         "bads": [],
         "sweeps": [],
         "churn": [0.75],
@@ -175,8 +182,9 @@ def test_differential_modal_cluster_vs_pool(case, modal_cluster_recognizers):
 @pytest.mark.parametrize("family", sorted(_TEMPLATES))
 def test_modal_differential_pilots(family, modal_cluster_recognizers):
     """One fixed chaotic case per family that always runs: a crash, a
-    drain, malformed lines, churn, and a mid-run sweep over modal (and,
-    for pinch, paired two-finger) traffic.  Debuggable sans hypothesis."""
+    drain, malformed lines, churn, a mid-run sweep and half the ops
+    respelled, over modal (and, for pinch, paired two-finger) traffic.
+    Debuggable sans hypothesis."""
     case = {
         "family": family,
         "workers": 3,
@@ -189,6 +197,7 @@ def test_modal_differential_pilots(family, modal_cluster_recognizers):
         "scale": None,
         "swap": None,
         "rawop_at": None,
+        "respell": (11, 0.5, list(RESPELLINGS)),
         "bads": [(0.15, BAD_LINES[0]), (0.7, BAD_LINES[2])],
         "sweeps": [(0.5, 1e9)],
         "churn": [0.4],

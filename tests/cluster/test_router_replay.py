@@ -5,8 +5,9 @@ lines it receives and never replies — stands in for the real
 :class:`~repro.serve.GestureServer`, so exactly what a restarted worker
 would be fed is observable directly: the fake reads the router's lp1
 frames with the same :class:`~repro.serve.FrameReader` a worker uses.
-Both tests are regressions from review findings against the
-crash-recovery path.
+The sweep and marker tests are regressions from review findings
+against the crash-recovery path; the rest pin the one session-op path
+and the client-side backpressure rule.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import asyncio
 import json
 
 from repro.cluster import Router
+from repro.cluster.fastpath import OP_LINE
 from repro.serve import FrameReader
 
 
@@ -22,8 +24,10 @@ class FakeWorker:
     """Accepts one router connection and records every line verbatim."""
 
     def __init__(self):
+        self.raw: list[str] = []
         self.lines: list[dict] = []
         self._server = None
+        self._writers: list = []
 
     async def start(self) -> tuple[str, int]:
         self._server = await asyncio.start_server(
@@ -33,14 +37,18 @@ class FakeWorker:
         return host, port
 
     async def _handle(self, reader, writer) -> None:
+        self._writers.append(writer)
         frames = FrameReader(reader)
         while True:
             kind, payload = await frames.next()
             if kind == "eof":
                 break
+            self.raw.append(payload.decode())
             self.lines.append(json.loads(payload))
 
     async def stop(self) -> None:
+        for writer in self._writers:
+            writer.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -176,3 +184,73 @@ def test_markers_carry_broadcast_clock_not_peer_op_timestamps():
         ("tick", 0.1),
         ("move", 0.2),
     ]
+
+
+def test_non_canonical_op_is_forwarded_and_journaled_canonically():
+    # One session-op path: an op in any valid spelling (compact
+    # separators, reordered keys, integer coordinates) is validated
+    # once and then routed exactly like a spliced canonical op — the
+    # worker and the journal both see the canonical line.
+    async def run():
+        router = Router(["w0"])
+        await router.start()
+        worker = FakeWorker()
+        try:
+            await router.worker_up("w0", *await worker.start())
+            _, cwriter = await asyncio.open_connection(*router.address)
+            cwriter.write(
+                b'{"t":0.5,"y":2,"x":1,"stroke":"s1","op":"down"}\n'
+            )
+            await cwriter.drain()
+            await _wait(lambda: worker.raw, "the op to reach the worker")
+            cwriter.close()
+            return list(worker.raw), list(router.sessions["k1:s1"].entries)
+        finally:
+            await worker.stop()
+            await router.stop()
+
+    raw, entries = asyncio.run(run())
+    canonical = json.dumps(
+        {"op": "down", "stroke": "k1:s1", "x": 1.0, "y": 2.0, "t": 0.5}
+    )
+    assert raw == [canonical]
+    assert entries == [(0, canonical)]
+    assert OP_LINE.match(canonical) is not None
+
+
+def test_refused_reply_closes_the_client():
+    # Backpressure: past queue_size undelivered replies, a reply the
+    # outbox refuses must close the connection (as a single server's
+    # channel does), never vanish while the connection stays open.
+    # Nothing reads while the lines route: they arrive in one write and
+    # route synchronously, so the writer task cannot drain in between.
+    async def run():
+        router = Router(["w0"], queue_size=2)
+        await router.start()
+        reader, writer = await asyncio.open_connection(*router.address)
+        try:
+            writer.write(b"nope\n" * 20)
+            await writer.drain()
+            replies = []
+            while True:
+                line = await asyncio.wait_for(reader.readline(), 10.0)
+                if not line:
+                    return replies, b""
+                replies.append(json.loads(line))
+                if len(replies) == 2:
+                    # A stream that stayed open would answer this.
+                    try:
+                        writer.write(b'{"op": "stats"}\n')
+                        await writer.drain()
+                    except ConnectionError:
+                        pass
+                if replies[-1]["kind"] == "stats":
+                    return replies, line
+        finally:
+            writer.close()
+            await router.stop()
+
+    replies, last = asyncio.run(run())
+    assert last == b"", "the connection stayed open after a refused reply"
+    assert len(replies) == 2
+    assert all(r["kind"] == "error" for r in replies)
